@@ -54,6 +54,7 @@ from .splines import (
     KnotVector,
     PiecewisePolynomial,
     SplineBasisSpec,
+    basis_matrix,
     basis_row,
     bspline_blend,
     eval_linear_interpolant,

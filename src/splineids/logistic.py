@@ -1,5 +1,9 @@
 """Design matrices over spline bases, logistic fitting, confusion metrics.
 
+A design matrix is allocated once and its basis columns are filled by
+``splines.basis_matrix``, block by block, so building one costs little
+more memory than the matrix itself.
+
 The fitter is iteratively reweighted least squares (Newton on the logit
 link) with step halving, so the log-likelihood never decreases across
 accepted iterations. Quasi-separated data is flagged, not rejected: once
@@ -12,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataError, NumericalError, OutOfDomainError, ShapeError
-from .splines import SplineBasisSpec, basis_row
+from .errors import EmptyDataError, NumericalError, ShapeError
+from .splines import SplineBasisSpec, basis_matrix
 
 MAX_ITERATIONS = 50
 LOGLIK_TOL = 1e-8
@@ -83,26 +87,25 @@ def build_design_matrix(spec: SplineBasisSpec | None, x: Sequence[float]) -> Des
     """Basis-expand ``x`` and prepend the intercept column.
 
     ``spec=None`` is the plain-logistic baseline whose sole feature column
-    is the raw predictor.
+    is the raw predictor. Spline bases come from ``basis_matrix``, which
+    evaluates whole arrays block by block straight into this matrix and
+    matches the scalar ``bspline_blend`` bit for bit. Out-of-domain input
+    raises ``OutOfDomainError`` and non-finite entries ``NumericalError``,
+    each naming the first offending row.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise EmptyDataError("design matrix needs at least one predictor value")
+    m = np.empty((xs.size, 2 if spec is None else 1 + spec.dimension))
+    m[:, 0] = 1.0
     if spec is None:
-        m = np.column_stack([np.ones(xs.size), xs])
+        m[:, 1] = xs
     else:
-        rows = np.empty((xs.size, 1 + spec.dimension))
-        rows[:, 0] = 1.0
-        for i, value in enumerate(xs):
-            try:
-                rows[i, 1:] = basis_row(spec, value)
-            except OutOfDomainError as err:
-                raise OutOfDomainError(f"row {i}: {err}") from None
-            except OverflowError:
-                raise NumericalError(f"row {i}: basis value overflows for x={value}") from None
-        m = rows
+        basis_matrix(spec, xs, out=m[:, 1:])
     if not np.all(np.isfinite(m)):
-        raise NumericalError("design matrix contains non-finite entries")
+        i = int(np.argmin(np.all(np.isfinite(m), axis=1)))
+        problem = "basis value overflows" if np.isfinite(xs[i]) else "predictor is not finite"
+        raise NumericalError(f"row {i}: {problem} for x={xs[i]}")
     return DesignMatrix(m, spec)
 
 

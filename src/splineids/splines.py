@@ -4,6 +4,10 @@ Piecewise polynomials are stored with coefficients of the global variable x
 (a + b*x + c*x**2 + d*x**3), so coefficients can be read off directly for a
 given interval. All evaluators treat the final breakpoint as included
 (closed right edge).
+
+Regression bases are evaluated on whole arrays by ``basis_matrix``, a block
+of rows at a time; its entries match the scalar references (``bspline_blend``
+and Python's ``float ** int``) bit for bit.
 """
 
 import bisect
@@ -142,8 +146,11 @@ def quantile(sample: Sequence[float], p: float) -> float:
         raise EmptySampleError("quantile of an empty sample")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    s = sorted(float(v) for v in sample)
-    h = (n - 1) * p
+    return _sorted_quantile(sorted(float(v) for v in sample), p)
+
+
+def _sorted_quantile(s: Sequence[float], p: float) -> float:
+    h = (len(s) - 1) * p
     lo = math.floor(h)
     frac = h - lo
     if frac == 0.0:
@@ -153,7 +160,10 @@ def quantile(sample: Sequence[float], p: float) -> float:
 
 
 def quantile_knots(sample: Sequence[float], probs: Sequence[float]) -> KnotVector:
-    """Knot vector at the given sample quantiles (must come out strictly increasing)."""
+    """Knot vector at the given sample quantiles (must come out strictly increasing).
+
+    The sample is sorted once; each knot equals ``quantile(sample, p)``.
+    """
     probs = tuple(float(p) for p in probs)
     if not probs:
         raise ValueError("probs must be nonempty")
@@ -161,7 +171,11 @@ def quantile_knots(sample: Sequence[float], probs: Sequence[float]) -> KnotVecto
         raise ValueError("probs must lie strictly inside (0, 1)")
     if any(q <= p for p, q in zip(probs, probs[1:])):
         raise ValueError("probs must be strictly increasing")
-    knots = [quantile(sample, p) for p in probs]
+    if len(sample) == 0:
+        raise EmptySampleError("quantile of an empty sample")
+    # a stable sort orders ties (0.0, -0.0) as sorted() does in quantile()
+    s = np.sort(np.asarray(sample, dtype=float), kind="stable").tolist()
+    knots = [_sorted_quantile(s, p) for p in probs]
     if any(b <= a for a, b in zip(knots, knots[1:])):
         raise DegenerateKnotsError(
             f"quantiles {probs} of the sample coincide: {knots}"
@@ -395,28 +409,84 @@ class SplineBasisSpec:
         return BSplineBasis.clamped(self.degree + 1, self.interior_knots.values, self.domain)
 
 
+# rows per kernel pass: the temporaries stay small next to a 100k-row matrix
+_BLOCK_ROWS = 2048
+
+
+def _truncated_power_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray) -> None:
+    # np.float_power calls C pow() as Python's float ** int does; np.power
+    # takes a multiply shortcut for small integer exponents that can differ
+    # by one ulp
+    d = spec.degree
+    knots = np.asarray(spec.interior_knots.values)
+    xc = x[:, None]
+    np.float_power(xc, np.arange(1, d + 1), out=out[:, :d])
+    np.float_power(np.maximum(xc - knots, 0.0), d, out=out[:, d:])
+
+
+def _bspline_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray) -> None:
+    # Cox-de Boor over every x and every function at once, with _blend's
+    # arithmetic: each term is (x - t_i)/den * N and a term whose den is 0
+    # counts as +0.0. _blend starts each sum from +0.0; left + right equals
+    # that sum, signed zeros included, since the two terms are never both -0.0
+    basis = spec.bspline_basis()
+    t = np.asarray(basis.extended_knots.values)
+    xc = x[:, None]
+    n = ((t[:-1] <= xc) & (xc < t[1:])).astype(float)
+    for k in range(2, basis.order + 1):
+        m = len(t) - k
+        left_den = t[k - 1 : k - 1 + m] - t[:m]
+        right_den = t[k : k + m] - t[1 : 1 + m]
+        left = (xc - t[:m]) / np.where(left_den == 0.0, 1.0, left_den) * n[:, :m]
+        right = (t[k : k + m] - xc) / np.where(right_den == 0.0, 1.0, right_den) * n[:, 1 : 1 + m]
+        left[:, left_den == 0.0] = 0.0
+        right[:, right_den == 0.0] = 0.0
+        left += right
+        n = left
+    out[:] = n
+    # the exact right domain edge evaluates as the left limit
+    edge = x == spec.domain[1]
+    out[edge] = 0.0
+    out[edge, -1] = 1.0
+
+
+def basis_matrix(spec: SplineBasisSpec, xs: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
+    """Regression-basis values (intercept not included), one row per x.
+
+    The kernel works on whole arrays, ``_BLOCK_ROWS`` rows at a time, and
+    writes each block straight into ``out`` (allocated when None), so its
+    temporaries do not grow with len(xs). It matches the scalar references
+    bit for bit: truncated-power entries are Python's ``x**j`` and
+    ``max(x - k, 0.0)**d``; B-spline rows are ``bspline_blend`` of every
+    function, except that the exact right domain edge gives the unit last
+    row (the left limit), so every row sums to 1. Entries that overflow are
+    inf. B-spline input outside the domain raises ``OutOfDomainError``
+    naming the first offending row.
+    """
+    x = np.asarray(xs, dtype=float)
+    if spec.kind is BasisKind.TRUNCATED_POWER:
+        kernel = _truncated_power_block
+    else:
+        kernel = _bspline_block
+        lo, hi = spec.domain
+        outside = np.flatnonzero((x < lo) | (x > hi))
+        if outside.size:
+            i = outside[0]
+            raise OutOfDomainError(f"row {i}: x={x[i]} outside B-spline domain [{lo}, {hi}]")
+    if out is None:
+        out = np.empty((x.size, spec.dimension))
+    with np.errstate(over="ignore"):
+        for start in range(0, x.size, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            kernel(spec, x[start:stop], out[start:stop])
+    return out
+
+
 def basis_row(spec: SplineBasisSpec, x: float) -> np.ndarray:
-    """Regression-basis values at ``x`` (intercept not included).
+    """Regression-basis values at ``x``: the one-row case of ``basis_matrix``.
 
     Truncated-power entries: (x, ..., x**d, (x-k_1)_+**d, ..., (x-k_K)_+**d).
     B-spline entries: (N_0k(x), ..., N_nk(x)); the exact right domain edge
     evaluates as the left-limit so the row still sums to 1.
     """
-    x = float(x)
-    if spec.kind is BasisKind.TRUNCATED_POWER:
-        d = spec.degree
-        row = [x**j for j in range(1, d + 1)]
-        row.extend(max(x - knot, 0.0) ** d for knot in spec.interior_knots)
-        return np.array(row)
-
-    lo, hi = spec.domain
-    if x < lo or x > hi:
-        raise OutOfDomainError(f"x={x} outside B-spline domain [{lo}, {hi}]")
-    basis = spec.bspline_basis()
-    n = basis.n_functions
-    if x == hi:
-        row = np.zeros(n)
-        row[-1] = 1.0
-        return row
-    t = basis.extended_knots.values
-    return np.array([_blend(t, i, basis.order, x) for i in range(n)])
+    return basis_matrix(spec, [float(x)])[0]

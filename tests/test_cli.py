@@ -129,3 +129,5 @@ class TestExitCodes:
         bad.write_text("\n".join(rows) + "\n")
         result = run("experiment", "--data", str(bad), "--models", "cubic")
         assert result.returncode == 3, (result.returncode, result.stderr)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("splineids:"), result.stderr

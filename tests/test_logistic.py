@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from splineids.errors import EmptyDataError, OutOfDomainError, ShapeError
+from splineids.errors import EmptyDataError, NumericalError, OutOfDomainError, ShapeError
 from splineids.logistic import (
     ConfusionMatrix,
     LogisticModel,
@@ -15,7 +17,7 @@ from splineids.logistic import (
     irls,
     predict_prob,
 )
-from splineids.splines import BasisKind, KnotVector, SplineBasisSpec
+from splineids.splines import _BLOCK_ROWS, BasisKind, KnotVector, SplineBasisSpec, bspline_blend
 
 
 def tp_spec(degree, knots, domain=(0.0, 10.0)):
@@ -57,6 +59,66 @@ class TestBuildDesignMatrix:
         spec = bs_spec(2, (1.0,), (0.0, 2.0))
         with pytest.raises(OutOfDomainError, match="row 1"):
             build_design_matrix(spec, (1.0, 5.0))
+
+    def test_overflow_reports_row(self):
+        with pytest.raises(NumericalError, match="row 1: basis value overflows"):
+            build_design_matrix(tp_spec(3, (1.0,)), (2.0, 1e200, 1e300))
+
+    def test_non_finite_predictor_reports_row(self):
+        with pytest.raises(NumericalError, match="row 2: predictor is not finite"):
+            build_design_matrix(None, (1.0, 2.0, np.inf))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(BasisKind),
+        degree=st.integers(1, 3),
+        knot_fracs=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5, unique=True),
+        lo=st.floats(-100.0, 100.0),
+        width=st.floats(0.5, 100.0),
+        extra_rows=st.integers(1, _BLOCK_ROWS - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_references_bit_for_bit(self, kind, degree, knot_fracs, lo, width, extra_rows, seed):
+        hi = lo + width
+        knots = sorted(lo + f * width for f in knot_fracs)
+        assume(lo < knots[0] and knots[-1] < hi and all(a < b for a, b in zip(knots, knots[1:])))
+        spec = SplineBasisSpec(kind, degree, KnotVector(tuple(knots)), (lo, hi))
+        special = [*knots, lo, hi, float(np.nextafter(hi, lo))]
+        rng = np.random.default_rng(seed)
+        n_random = 2 * _BLOCK_ROWS + extra_rows - len(special)  # three blocks, the last one partial
+        xs = rng.permutation(np.concatenate([special, rng.uniform(lo, hi, n_random)]))
+
+        if kind is BasisKind.BSPLINE:
+            basis = spec.bspline_basis()
+            edge_row = [0.0] * (basis.n_functions - 1) + [1.0]
+            want = [
+                edge_row if x == hi else [bspline_blend(basis, i, basis.order, x) for i in range(basis.n_functions)]
+                for x in xs.tolist()
+            ]
+        else:
+            want = [
+                [x**j for j in range(1, degree + 1)] + [max(x - k, 0.0) ** degree for k in knots]
+                for x in xs.tolist()
+            ]
+        want = np.column_stack([np.ones(xs.size), np.array(want)])
+        got = build_design_matrix(spec, xs).matrix
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 where the reference has it
+
+    @pytest.mark.parametrize(
+        "spec",
+        [None, tp_spec(3, (2.0, 5.0, 8.0)), bs_spec(3, (2.0, 5.0, 8.0), (0.0, 10.0))],
+        ids=["logistic", "cubic", "bspline"],
+    )
+    def test_peak_allocation_stays_near_the_matrix(self, spec):
+        x = np.random.default_rng(0).uniform(0.0, 10.0, 100_000)
+        tracemalloc.start()
+        try:
+            dm = build_design_matrix(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * dm.matrix.nbytes
 
 
 class TestFitLogistic:

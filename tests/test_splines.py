@@ -158,6 +158,25 @@ class TestQuantileKnots:
         with pytest.raises(ValueError):
             quantile_knots([1, 2, 3], (0.0, 0.5))
 
+    def test_empty_sample(self):
+        with pytest.raises(EmptySampleError):
+            quantile_knots([], (0.5,))
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5, unique=True),
+    )
+    def test_sorting_once_matches_quantile_exactly(self, sample, probs):
+        # float.hex tells -0.0 from 0.0, so this is bit-for-bit
+        probs = sorted(probs)
+        want = tuple(quantile(sample, p) for p in probs)
+        if any(b <= a for a, b in zip(want, want[1:])):
+            with pytest.raises(DegenerateKnotsError):
+                quantile_knots(sample, probs)
+        else:
+            got = quantile_knots(sample, probs).values
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
 
 class TestKnotVector:
     def test_rejects_decreasing(self):
