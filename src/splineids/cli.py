@@ -5,23 +5,14 @@ failure. All randomness flows from explicit seed flags.
 """
 
 import argparse
+import csv
 import json
 import sys
 
-import numpy as np
-
 from . import experiment as exp
 from .errors import ConfigError, NumericalError, SplineIdsError
-from .logistic import (
-    accuracy,
-    build_design_matrix,
-    classify,
-    confusion_matrix,
-    fit_logistic,
-    predict_prob,
-)
-from .simulate import ScenarioConfig, generate_dataset, read_csv, scenario_from_dict, write_csv
-from .splines import BasisKind, quantile_knots
+from .logistic import accuracy
+from .simulate import ScenarioConfig, generate_dataset, scenario_from_dict, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,8 +30,10 @@ def _load_scenario(path: str | None, seed: int | None, n_records: int | None = N
                 data = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read scenario file: {err}")
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # undecodable bytes as well as bad JSON
             raise ConfigError(f"scenario file is not valid JSON: {err}")
+        if not isinstance(data, dict):
+            raise ConfigError("scenario config must be a JSON object")
     if seed is not None:
         data = {**data, "seed": seed}
     if n_records is not None:
@@ -126,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit one model on a full dataset and save it")
     _add_data_args(p)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=[m.value for m in exp.ModelKind])
     p.add_argument("--knots", default="0.25,0.5,0.75")
     p.add_argument("--bspline-degree", type=int, default=3)
     p.add_argument("--save", required=True, help="output model JSON path")
@@ -161,37 +154,23 @@ def _cmd_curves(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    kinds = {m.value: m for m in exp.ModelKind}
-    if args.model not in kinds:
-        raise ConfigError(f"unknown model '{args.model}' (choose from {', '.join(kinds)})")
-    kind = kinds[args.model]
-    if args.data is not None:
-        records = read_csv(args.data)
-    else:
-        records = generate_dataset(_load_scenario(args.scenario, args.seed))
-    x = np.array([r.packet_delay_ms for r in records])
-    y = np.array([r.label for r in records])
-    knots = quantile_knots(x, _parse_probs(args.knots))
-    span = float(x.max() - x.min())
-    domain = (float(x.min() - exp.DOMAIN_MARGIN * span), float(x.max() + exp.DOMAIN_MARGIN * span))
-    spec = exp.basis_spec_for(kind, knots, domain, args.bspline_degree)
-    model = fit_logistic(build_design_matrix(spec, x), y)
+    config = exp.ExperimentConfig(
+        data_csv=args.data,
+        scenario=None if args.data is not None else _load_scenario(args.scenario, args.seed),
+        knot_probs=_parse_probs(args.knots),
+        models=_parse_models(args.model),
+        bspline_degree=args.bspline_degree,
+    )
+    records, _ = exp.load_records(config)
+    (model,) = exp.fit_models(config, *exp.delays_and_labels(records)).models.values()
     exp.save_model(model, args.save)
 
 
 def _cmd_evaluate(args) -> None:
+    config = exp.ExperimentConfig(data_csv=args.data, threshold=args.threshold)
     model = exp.load_model(args.load)
-    records = read_csv(args.data)
-    x = np.array([r.packet_delay_ms for r in records])
-    y = np.array([r.label for r in records])
-    clamped = 0
-    spec = model.basis_spec
-    if spec is not None and spec.kind is BasisKind.BSPLINE:
-        lo, hi = spec.domain
-        clamped = int(np.sum((x < lo) | (x > hi)))
-        x = np.clip(x, lo, hi)
-    probs = predict_prob(model, build_design_matrix(spec, x))
-    cm = confusion_matrix(classify(probs, args.threshold), y)
+    records, _ = exp.load_records(config)
+    cm, clamped = exp.score_model(model, *exp.delays_and_labels(records), config.threshold)
     sys.stdout.write(
         f"n: {cm.total}\n"
         f"tp: {cm.tp}\nfp: {cm.fp}\ntn: {cm.tn}\nfn: {cm.fn}\n"
@@ -200,23 +179,24 @@ def _cmd_evaluate(args) -> None:
     )
 
 
+def _fail(kind: str, err: Exception, code: int) -> int:
+    # one line, even where the message quotes input that holds line breaks
+    text = " ".join(str(err).splitlines())
+    print(f"splineids: {kind}: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
     except ConfigError as err:
-        print(f"splineids: config error: {err}", file=sys.stderr)
-        return 1
+        return _fail("config error", err, 1)
     except NumericalError as err:
-        print(f"splineids: numerical failure: {err}", file=sys.stderr)
-        return 3
-    except SplineIdsError as err:
-        print(f"splineids: data error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"splineids: data error: {err}", file=sys.stderr)
-        return 2
+        return _fail("numerical failure", err, 3)
+    except (SplineIdsError, OSError, csv.Error) as err:
+        return _fail("data error", err, 2)
     return 0
 
 

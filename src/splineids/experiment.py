@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModelLoadError, SplitError
+from .errors import ConfigError, DegenerateKnotsError, ModelLoadError, SplitError
 from .logistic import (
     ConfusionMatrix,
     LogisticModel,
@@ -28,7 +28,7 @@ from .logistic import (
     fit_logistic,
     predict_prob,
 )
-from .simulate import ScenarioConfig, TrafficRecord, read_csv, scenario_to_dict
+from .simulate import ScenarioConfig, TrafficRecord, generate_dataset, read_csv, scenario_to_dict
 from .splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 DOMAIN_MARGIN = 0.01  # fraction of the training delay span added per side
@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("give either data_csv or scenario, not both")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
+        if self.split_seed < 0:
+            raise ConfigError("split_seed must be >= 0")
         probs = tuple(float(p) for p in self.knot_probs)
         object.__setattr__(self, "knot_probs", probs)
         if not probs or any(not 0.0 < p < 1.0 for p in probs) or any(
@@ -196,13 +198,16 @@ def basis_spec_for(
     return SplineBasisSpec(BasisKind.TRUNCATED_POWER, degree, knots, domain)
 
 
-def _load_records(config: ExperimentConfig) -> tuple[list[TrafficRecord], int | None]:
+def load_records(config: ExperimentConfig) -> tuple[list[TrafficRecord], int | None]:
+    """The records ``config`` names, and the scenario seed (None for CSV input)."""
     if config.data_csv is not None:
         return read_csv(config.data_csv), None
     scenario = config.scenario if config.scenario is not None else ScenarioConfig()
-    from .simulate import generate_dataset
-
     return generate_dataset(scenario), scenario.seed
+
+
+def delays_and_labels(records: Sequence[TrafficRecord]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([r.packet_delay_ms for r in records]), np.array([r.label for r in records])
 
 
 def _filter_records(records: list[TrafficRecord], which: str) -> list[TrafficRecord]:
@@ -213,46 +218,65 @@ def _filter_records(records: list[TrafficRecord], which: str) -> list[TrafficRec
 
 
 @dataclass(frozen=True)
-class _FittedExperiment:
-    report: ExperimentReport
+class FittedModels:
+    """The models fitted on one training sample, with the knots and domain they share."""
+
+    knots: KnotVector
+    domain: tuple[float, float]
     models: dict[ModelKind, LogisticModel]
 
 
-def _run(config: ExperimentConfig) -> _FittedExperiment:
-    records, scenario_seed = _load_records(config)
+def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> FittedModels:
+    """Fit each model in ``config.models`` on training delays ``x`` and labels ``y``.
+
+    The knots are the ``config.knot_probs`` quantiles of ``x``; the B-spline
+    domain is the range of ``x`` widened by ``DOMAIN_MARGIN`` of its span on
+    each side. Models come back in ``ALL_MODELS`` order.
+    """
+    knots = quantile_knots(x, config.knot_probs)
+    lo, hi = float(x.min()), float(x.max())
+    margin = DOMAIN_MARGIN * (hi - lo)
+    domain = (lo - margin, hi + margin)
+    if not (-math.inf < domain[0] < knots[0] and knots[-1] < domain[1] < math.inf):
+        raise DegenerateKnotsError(
+            f"training delays [{lo}, {hi}] leave no finite domain around knots {knots.values}"
+        )
+    models = {}
+    for kind in ALL_MODELS:
+        if kind in config.models:
+            spec = basis_spec_for(kind, knots, domain, config.bspline_degree)
+            models[kind] = fit_logistic(build_design_matrix(spec, x), y)
+    return FittedModels(knots, domain, models)
+
+
+def score_model(
+    model: LogisticModel, x: np.ndarray, y: np.ndarray, threshold: float
+) -> tuple[ConfusionMatrix, int]:
+    """Confusion counts of ``model`` on delays ``x`` and labels ``y``, and the clamped count.
+
+    B-spline inputs outside the model's domain are clamped to its edge and
+    counted, so every record is scored.
+    """
+    spec = model.basis_spec
+    clamped = 0
+    if spec is not None and spec.kind is BasisKind.BSPLINE:
+        lo, hi = spec.domain
+        clamped = int(np.sum((x < lo) | (x > hi)))
+        x = np.clip(x, lo, hi)
+    probs = predict_prob(model, build_design_matrix(spec, x))
+    return confusion_matrix(classify(probs, threshold), y), clamped
+
+
+def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
+    records, scenario_seed = load_records(config)
     records = _filter_records(records, config.congestion_filter)
     train, test = split_train_test(records, config.split_ratio, config.split_seed)
-
-    train_x = np.array([r.packet_delay_ms for r in train])
-    train_y = np.array([r.label for r in train])
-    test_x = np.array([r.packet_delay_ms for r in test])
-    test_y = np.array([r.label for r in test])
-
-    knots = quantile_knots(train_x, config.knot_probs)
-    span = float(train_x.max() - train_x.min())
-    domain = (
-        float(train_x.min() - DOMAIN_MARGIN * span),
-        float(train_x.max() + DOMAIN_MARGIN * span),
-    )
+    fitted = fit_models(config, *delays_and_labels(train))
+    test_x, test_y = delays_and_labels(test)
 
     rows = []
-    fitted: dict[ModelKind, LogisticModel] = {}
-    for kind in ALL_MODELS:
-        if kind not in config.models:
-            continue
-        spec = basis_spec_for(kind, knots, domain, config.bspline_degree)
-        model = fit_logistic(build_design_matrix(spec, train_x), train_y)
-        fitted[kind] = model
-
-        eval_x = test_x
-        clamped = 0
-        if spec is not None and spec.kind is BasisKind.BSPLINE:
-            outside = (test_x < domain[0]) | (test_x > domain[1])
-            clamped = int(np.sum(outside))
-            eval_x = np.clip(test_x, domain[0], domain[1])
-        probs = predict_prob(model, build_design_matrix(spec, eval_x))
-        preds = classify(probs, config.threshold)
-        cm = confusion_matrix(preds, test_y)
+    for kind, model in fitted.models.items():
+        cm, clamped = score_model(model, test_x, test_y, config.threshold)
         rows.append(
             ModelRow(
                 model=kind,
@@ -269,18 +293,18 @@ def _run(config: ExperimentConfig) -> _FittedExperiment:
         rows=tuple(rows),
         n_train=len(train),
         n_test=len(test),
-        knots_ms=knots.values,
+        knots_ms=fitted.knots.values,
         scenario_seed=scenario_seed,
         split_seed=config.split_seed,
         config_digest=config_digest(config),
-        bspline_domain=domain,
+        bspline_domain=fitted.domain,
     )
-    return _FittedExperiment(report, fitted)
+    return report, fitted
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the comparison: load/generate, split, fit each model, score the test set."""
-    return _run(config).report
+    return _run(config)[0]
 
 
 def render_report(report: ExperimentReport, fmt: str = "text") -> str:
@@ -366,14 +390,13 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     """
     if grid_points < 2:
         raise ConfigError("grid_points must be >= 2")
-    run = _run(config)
-    lo, hi = run.report.bspline_domain
-    delays = np.linspace(lo, hi, grid_points)
+    report, fitted = _run(config)
+    delays = np.linspace(*fitted.domain, grid_points)
     probabilities = {}
-    for kind, model in run.models.items():
+    for kind, model in fitted.models.items():
         dm = build_design_matrix(model.basis_spec, delays)
         probabilities[kind] = predict_prob(model, dm)
-    return CurveBundle(delays, probabilities, run.report.config_digest)
+    return CurveBundle(delays, probabilities, report.config_digest)
 
 
 def write_curves_csv(bundle: CurveBundle, path: str | Path) -> None:
@@ -441,7 +464,7 @@ def load_model(path: str | Path) -> LogisticModel:
             iterations=int(doc["iterations"]),
             separation_flag=bool(doc["separation_flag"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ModelLoadError(f"corrupt model file {path}: {err}") from None
     if not math.isfinite(model.intercept) or not all(math.isfinite(c) for c in model.coefficients):
         raise ModelLoadError(f"corrupt model file {path}: non-finite coefficients")

@@ -163,7 +163,8 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
     for iterations in range(1, MAX_ITERATIONS + 1):
         gradient = x.T @ (y - p)
         weights = p * (1.0 - p)
-        hessian = (x * weights[:, None]).T @ x
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+            hessian = (x * weights[:, None]).T @ x
         if not np.all(np.isfinite(hessian)):
             raise NumericalError("non-finite IRLS working quantities")
         delta = _newton_step(hessian, gradient)

@@ -16,6 +16,7 @@ normal.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -36,16 +37,11 @@ class AttackType(Enum):
 
 ATTACK_TYPES = (AttackType.PROBE, AttackType.DOS, AttackType.U2R, AttackType.R2U)
 
-# optional per-type shift of the log-delay mean (multiclass groundwork,
-# disabled by default so the binary experiment sees identical attack cells)
-_TYPE_DELAY_SHIFT = {
-    AttackType.PROBE: -0.15,
-    AttackType.DOS: 0.30,
-    AttackType.U2R: 0.0,
-    AttackType.R2U: 0.10,
-}
-
 CSV_HEADER = "packet_delay_ms,packets_dropped,transfer_interval_ms,congested,attack_type,label"
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,8 @@ class CellParams:
 
     def __post_init__(self):
         for name in ("delay_mu", "delay_sigma", "drop_rate", "interval_mu", "interval_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+            if not _is_finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.delay_sigma <= 0:
             raise ConfigError("delay_sigma must be > 0")
         if self.interval_sigma <= 0:
@@ -120,24 +116,26 @@ class ScenarioConfig:
         default_factory=lambda: CellParams(3.35, 0.45, 4.0, 3.90, 0.45)
     )
     vehicle_jitter_sigma: float = 0.05
-    per_type_delay_shift: bool = False
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_records < 1:
-            raise ConfigError("n_records must be >= 1")
-        if self.n_vehicles < 1:
-            raise ConfigError("n_vehicles must be >= 1")
-        if not 0.0 <= self.attack_fraction <= 1.0:
-            raise ConfigError("attack_fraction must lie in [0, 1]")
-        if not 0.0 <= self.congested_fraction <= 1.0:
-            raise ConfigError("congested_fraction must lie in [0, 1]")
-        mix = tuple(float(w) for w in self.attack_mix)
-        object.__setattr__(self, "attack_mix", mix)
-        if len(mix) != len(ATTACK_TYPES) or any(w < 0 for w in mix) or sum(mix) <= 0:
-            raise ConfigError("attack_mix needs 4 nonnegative weights with positive sum")
-        if self.vehicle_jitter_sigma < 0:
-            raise ConfigError("vehicle_jitter_sigma must be >= 0")
+        for name, lowest in (("n_records", 1), ("n_vehicles", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+                raise ConfigError(f"{name} must be an integer >= {lowest}, got {value!r}")
+        for name, highest in (("attack_fraction", 1.0), ("congested_fraction", 1.0), ("vehicle_jitter_sigma", math.inf)):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) and 0.0 <= value <= highest):
+                raise ConfigError(f"{name} must be a finite number in [0, {highest}], got {value!r}")
+        mix = self.attack_mix
+        if not (
+            isinstance(mix, (tuple, list))
+            and len(mix) == len(ATTACK_TYPES)
+            and all(_is_finite_number(w) and w >= 0 for w in mix)
+            and 0 < sum(mix) < math.inf
+        ):
+            raise ConfigError(f"attack_mix needs 4 nonnegative weights with a positive finite sum, got {mix!r}")
+        object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
 
 
 def _cell_for(config: ScenarioConfig, attacked: bool, congested: bool) -> CellParams:
@@ -154,28 +152,30 @@ def generate_dataset(config: ScenarioConfig) -> list[TrafficRecord]:
     cum_mix = np.cumsum(mix / mix.sum())
 
     records = []
-    for _ in range(config.n_records):
-        congested = bool(rng.random() < config.congested_fraction)
-        attacked = bool(rng.random() < config.attack_fraction)
-        attack_type = AttackType.NONE
-        if attacked:
-            u = rng.random()
-            attack_type = ATTACK_TYPES[int(np.searchsorted(cum_mix, u, side="right"))]
-        vehicle = int(rng.integers(0, config.n_vehicles))
-        cell = _cell_for(config, attacked, congested)
-        delay_mu = cell.delay_mu + jitter[vehicle]
-        if attacked and config.per_type_delay_shift:
-            delay_mu += _TYPE_DELAY_SHIFT[attack_type]
-        records.append(
-            TrafficRecord(
-                packet_delay_ms=float(np.exp(rng.normal(delay_mu, cell.delay_sigma))),
-                packets_dropped=int(rng.poisson(cell.drop_rate)),
-                transfer_interval_ms=float(np.exp(rng.normal(cell.interval_mu, cell.interval_sigma))),
-                congested=congested,
-                attack_type=attack_type,
-                label=1 if attacked else 0,
-            )
-        )
+    # an overflowing draw gives inf, which the record's own check rejects
+    with np.errstate(over="ignore"):
+        try:
+            for _ in range(config.n_records):
+                congested = bool(rng.random() < config.congested_fraction)
+                attacked = bool(rng.random() < config.attack_fraction)
+                attack_type = AttackType.NONE
+                if attacked:
+                    u = rng.random()
+                    attack_type = ATTACK_TYPES[int(np.searchsorted(cum_mix, u, side="right"))]
+                vehicle = int(rng.integers(0, config.n_vehicles))
+                cell = _cell_for(config, attacked, congested)
+                records.append(
+                    TrafficRecord(
+                        packet_delay_ms=float(np.exp(rng.normal(cell.delay_mu + jitter[vehicle], cell.delay_sigma))),
+                        packets_dropped=int(rng.poisson(cell.drop_rate)),
+                        transfer_interval_ms=float(np.exp(rng.normal(cell.interval_mu, cell.interval_sigma))),
+                        congested=congested,
+                        attack_type=attack_type,
+                        label=1 if attacked else 0,
+                    )
+                )
+        except ValueError as err:
+            raise ConfigError(f"scenario draws an invalid record {len(records)}: {err}") from None
     return records
 
 
@@ -195,7 +195,8 @@ def read_csv(path: str | Path) -> list[TrafficRecord]:
     """Read records written by :func:`write_csv`; errors carry the file line number."""
     tokens = {t.value: t for t in AttackType}
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # undecodable bytes fail the field checks below, which name their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or ",".join(header) != CSV_HEADER:
@@ -237,7 +238,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         "congested_fraction": config.congested_fraction,
         "attack_mix": list(config.attack_mix),
         "vehicle_jitter_sigma": config.vehicle_jitter_sigma,
-        "per_type_delay_shift": config.per_type_delay_shift,
         "seed": config.seed,
     }
     for name, cell in cells.items():
@@ -260,18 +260,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
     merged = {**defaults, **data}
-    kwargs = {}
-    for name, value in merged.items():
-        if name in _CELL_NAMES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be an object of cell parameters")
-            cell_defaults = defaults[name]
-            cell_unknown = set(value) - set(cell_defaults)
-            if cell_unknown:
-                raise ConfigError(f"{name}: unknown field(s): {', '.join(sorted(cell_unknown))}")
-            kwargs[name] = CellParams(**{**cell_defaults, **value})
-        elif name == "attack_mix":
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
-    return ScenarioConfig(**kwargs)
+    for name in _CELL_NAMES:
+        value = merged[name]
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object of cell parameters")
+        cell_unknown = set(value) - set(defaults[name])
+        if cell_unknown:
+            raise ConfigError(f"{name}: unknown field(s): {', '.join(sorted(cell_unknown))}")
+        merged[name] = CellParams(**{**defaults[name], **value})
+    return ScenarioConfig(**merged)

@@ -10,12 +10,15 @@ from splineids.experiment import (
     ModelKind,
     basis_spec_for,
     config_digest,
+    delays_and_labels,
     emit_curves,
+    fit_models,
     emit_report,
     load_model,
     render_report,
     run_experiment,
     save_model,
+    score_model,
     split_train_test,
     write_curves_csv,
 )
@@ -203,6 +206,21 @@ class TestCurves:
         lo, hi = default_report.bspline_domain
         assert bundle.delays[0] == pytest.approx(lo)
         assert bundle.delays[-1] == pytest.approx(hi)
+
+
+class TestScoreModel:
+    def test_bspline_inputs_outside_domain_score_as_its_edges(self):
+        x, y = delays_and_labels(generate_dataset(ScenarioConfig(n_records=200, seed=11)))
+        config = ExperimentConfig(models=(ModelKind.LINEAR_SPLINE, ModelKind.BSPLINE))
+        models = fit_models(config, x, y).models
+        lo, hi = models[ModelKind.BSPLINE].basis_spec.domain
+        labels = np.concatenate([y, [0, 1]])
+        outside = score_model(models[ModelKind.BSPLINE], np.concatenate([x, [lo - 5.0, hi + 5.0]]), labels, 0.5)
+        edges = score_model(models[ModelKind.BSPLINE], np.concatenate([x, [lo, hi]]), labels, 0.5)
+        assert outside[1] == 2 and edges[1] == 0
+        assert outside[0] == edges[0]
+        # truncated-power bases extrapolate, so nothing is clamped
+        assert score_model(models[ModelKind.LINEAR_SPLINE], np.array([lo - 5.0, hi + 5.0]), [0, 1], 0.5)[1] == 0
 
 
 class TestModelPersistence:
