@@ -6,9 +6,17 @@ more memory than the matrix itself.
 
 The fitter is iteratively reweighted least squares (Newton on the logit
 link) with step halving, so the log-likelihood never decreases across
-accepted iterations. Quasi-separated data is flagged, not rejected: once
-any fitted probability leaves (1e-12, 1 - 1e-12) the iteration stops at
-the current coefficients with ``separation_flag`` set.
+accepted iterations. Each step is one minimum-norm solve of the weighted
+normal equations (``np.linalg.lstsq``) with no ridge retry; it is exact
+for the rank-deficient design of an intercept plus a partition-of-unity
+B-spline basis. The log-likelihood is the unclipped
+``y.eta - sum(logaddexp(0, eta))``.
+
+Once any fitted probability reaches the band (p <= 1e-12 or
+p >= 1 - 1e-12) the iteration stops at the current coefficients with
+``separation_flag`` set. The flag means only that a probability reached
+the band; it is no proof of separation: plain logistic regression on
+overlapping classes can get it too.
 """
 
 from dataclasses import dataclass
@@ -21,10 +29,8 @@ from .splines import SplineBasisSpec, basis_matrix
 
 MAX_ITERATIONS = 50
 LOGLIK_TOL = 1e-8
-RIDGE_JITTER = 1e-8
 SEPARATION_BAND = 1e-12
 _PROB_CLIP = 1e-15
-_COND_LIMIT = 1e12
 _MAX_HALVINGS = 30
 
 
@@ -109,33 +115,18 @@ def build_design_matrix(spec: SplineBasisSpec | None, x: Sequence[float]) -> Des
     return DesignMatrix(m, spec)
 
 
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _sigmoid(eta: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """sigma(eta) from ``e = exp(-|eta|)``, which never overflows."""
+    if e is None:
+        e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
-def _log_likelihood(y: np.ndarray, p: np.ndarray) -> float:
-    q = np.clip(p, SEPARATION_BAND, 1.0 - SEPARATION_BAND)
-    return float(np.sum(y * np.log(q) + (1.0 - y) * np.log(1.0 - q)))
-
-
-def _newton_step(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    # near-singular normal equations (e.g. intercept + partition-of-unity
-    # columns) get one ridge-jittered retry
-    try:
-        if np.linalg.cond(hessian) < _COND_LIMIT:
-            return np.linalg.solve(hessian, gradient)
-    except np.linalg.LinAlgError:
-        pass
-    jittered = hessian + RIDGE_JITTER * np.eye(hessian.shape[0])
-    try:
-        return np.linalg.solve(jittered, gradient)
-    except np.linalg.LinAlgError:
-        raise NumericalError("weighted normal equations singular even after ridge jitter")
+def _loglik_and_prob(y: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unclipped ``y.eta - sum(logaddexp(0, eta))`` and sigma(eta), sharing one exp."""
+    e = np.exp(-np.abs(eta))
+    ll = float(y @ eta - np.sum(np.maximum(eta, 0.0) + np.log1p(e)))
+    return ll, _sigmoid(eta, e)
 
 
 @dataclass
@@ -153,8 +144,7 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     beta = np.zeros(x.shape[1])
-    p = _sigmoid(x @ beta)
-    ll = _log_likelihood(y, p)
+    ll, p = _loglik_and_prob(y, x @ beta)
     history = [ll]
     converged = False
     separated = False
@@ -167,13 +157,12 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
             hessian = (x * weights[:, None]).T @ x
         if not np.all(np.isfinite(hessian)):
             raise NumericalError("non-finite IRLS working quantities")
-        delta = _newton_step(hessian, gradient)
+        delta = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
 
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             beta_new = beta + step * delta
-            p_new = _sigmoid(x @ beta_new)
-            ll_new = _log_likelihood(y, p_new)
+            ll_new, p_new = _loglik_and_prob(y, x @ beta_new)
             if ll_new >= ll:
                 break
             step *= 0.5
@@ -187,7 +176,6 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
             separated = True
             break
         if abs(ll_new - ll) < LOGLIK_TOL:
-            ll = ll_new
             converged = True
             break
         ll = ll_new

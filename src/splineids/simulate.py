@@ -37,6 +37,8 @@ class AttackType(Enum):
 
 ATTACK_TYPES = (AttackType.PROBE, AttackType.DOS, AttackType.U2R, AttackType.R2U)
 
+MAX_COUNT = 1_000_000  # most records or vehicles a scenario may ask for
+
 CSV_HEADER = "packet_delay_ms,packets_dropped,transfer_interval_ms,congested,attack_type,label"
 
 
@@ -119,10 +121,10 @@ class ScenarioConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name, lowest in (("n_records", 1), ("n_vehicles", 1), ("seed", 0)):
+        for name, lowest, highest in (("n_records", 1, MAX_COUNT), ("n_vehicles", 1, MAX_COUNT), ("seed", 0, math.inf)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
-                raise ConfigError(f"{name} must be an integer >= {lowest}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lowest <= value <= highest:
+                raise ConfigError(f"{name} must be an integer in [{lowest}, {highest}], got {value!r}")
         for name, highest in (("attack_fraction", 1.0), ("congested_fraction", 1.0), ("vehicle_jitter_sigma", math.inf)):
             value = getattr(self, name)
             if not (_is_finite_number(value) and 0.0 <= value <= highest):

@@ -197,6 +197,9 @@ BAD_SCENARIOS = [
     {"attack_mix": [1e308, 1e308, 0, 0]},
     {"attack_uncongested": {"delay_mu": "x"}},
     {"vehicle_jitter_sigma": math.nan},
+    # counts rejected before anything is allocated
+    {"n_records": 10**30},
+    {"n_vehicles": 10**30},
     # valid types whose draws leave a record's range
     {"attack_uncongested": {"delay_mu": 1000}},
     {"normal_uncongested": {"drop_rate": 1e30}},

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splineids.errors import EmptyDataError, NumericalError, OutOfDomainError, ShapeError
+from splineids.experiment import ALL_MODELS, ExperimentConfig, delays_and_labels, fit_models, split_train_test
 from splineids.logistic import (
     ConfusionMatrix,
     LogisticModel,
+    _sigmoid,
     accuracy,
     build_design_matrix,
     classify,
@@ -17,6 +19,7 @@ from splineids.logistic import (
     irls,
     predict_prob,
 )
+from splineids.simulate import ScenarioConfig, generate_dataset
 from splineids.splines import _BLOCK_ROWS, BasisKind, KnotVector, SplineBasisSpec, bspline_blend
 
 
@@ -179,6 +182,19 @@ class TestFitLogistic:
             fd = (loglik(beta + e) - loglik(beta - e)) / (2.0 * h)
             assert fd == pytest.approx(grad[j], rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_reported_loglik_is_the_exact_loglik_of_the_returned_beta(self, seed):
+        config = ExperimentConfig()
+        train, _ = split_train_test(generate_dataset(ScenarioConfig(seed=seed)), config.split_ratio, config.split_seed)
+        x, y = delays_and_labels(train)
+        fitted = fit_models(config, x, y)
+        for kind in ALL_MODELS:
+            dm = build_design_matrix(fitted.models[kind].basis_spec, x)
+            trace = irls(dm.matrix, y.astype(float))
+            eta = dm.matrix @ trace.beta
+            exact = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+            assert trace.loglik == pytest.approx(exact, rel=1e-12, abs=0.0), kind
+
 
 class TestPredictProb:
     def test_sigma_zero_is_half(self):
@@ -205,6 +221,27 @@ class TestPredictProb:
         m = LogisticModel(0.0, (1.0, 2.0), None, True, 1, False)
         with pytest.raises(ShapeError):
             predict_prob(m, build_design_matrix(None, [0.0]))
+
+
+def _two_branch_sigmoid(eta):
+    """The earlier masked form of sigma, kept as the reference."""
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_the_two_branch_form_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf]
+        eta = np.concatenate([special, rng.normal(0.0, 30.0, 100_000), rng.uniform(-800.0, 800.0, 100_000)])
+        want = _two_branch_sigmoid(eta)
+        got = _sigmoid(eta)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestClassify:
