@@ -43,6 +43,7 @@ from .simulate import (
     CellParams,
     ScenarioConfig,
     TrafficRecord,
+    TrafficTable,
     generate_dataset,
     read_csv,
     write_csv,

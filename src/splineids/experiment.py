@@ -28,7 +28,7 @@ from .logistic import (
     fit_logistic,
     predict_prob,
 )
-from .simulate import ScenarioConfig, TrafficRecord, generate_dataset, read_csv, scenario_to_dict
+from .simulate import ScenarioConfig, TrafficTable, generate_dataset, read_csv, scenario_to_dict
 from .splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 DOMAIN_MARGIN = 0.01  # fraction of the training delay span added per side
@@ -162,9 +162,7 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def split_train_test(
-    records: Sequence[TrafficRecord], ratio: float, seed: int
-) -> tuple[list[TrafficRecord], list[TrafficRecord]]:
+def split_train_test(records: TrafficTable, ratio: float, seed: int) -> tuple[TrafficTable, TrafficTable]:
     """Seeded shuffle then prefix split; train size = round(ratio * n)."""
     n = len(records)
     if n < 2:
@@ -174,9 +172,7 @@ def split_train_test(
         raise SplitError(f"ratio {ratio} leaves an empty side for n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
-    train = [records[i] for i in perm[:n_train]]
-    test = [records[i] for i in perm[n_train:]]
-    return train, test
+    return records[perm[:n_train]], records[perm[n_train:]]
 
 
 def basis_spec_for(
@@ -198,7 +194,7 @@ def basis_spec_for(
     return SplineBasisSpec(BasisKind.TRUNCATED_POWER, degree, knots, domain)
 
 
-def load_records(config: ExperimentConfig) -> tuple[list[TrafficRecord], int | None]:
+def load_records(config: ExperimentConfig) -> tuple[TrafficTable, int | None]:
     """The records ``config`` names, and the scenario seed (None for CSV input)."""
     if config.data_csv is not None:
         return read_csv(config.data_csv), None
@@ -206,15 +202,14 @@ def load_records(config: ExperimentConfig) -> tuple[list[TrafficRecord], int | N
     return generate_dataset(scenario), scenario.seed
 
 
-def delays_and_labels(records: Sequence[TrafficRecord]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([r.packet_delay_ms for r in records]), np.array([r.label for r in records])
+def delays_and_labels(records: TrafficTable) -> tuple[np.ndarray, np.ndarray]:
+    return records.packet_delay_ms, records.label
 
 
-def _filter_records(records: list[TrafficRecord], which: str) -> list[TrafficRecord]:
+def _filter_records(records: TrafficTable, which: str) -> TrafficTable:
     if which == "all":
         return records
-    want = which == "congested"
-    return [r for r in records if r.congested is want]
+    return records[records.congested == (which == "congested")]
 
 
 @dataclass(frozen=True)
@@ -464,7 +459,7 @@ def load_model(path: str | Path) -> LogisticModel:
             iterations=int(doc["iterations"]),
             separation_flag=bool(doc["separation_flag"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise ModelLoadError(f"corrupt model file {path}: {err}") from None
     if not math.isfinite(model.intercept) or not all(math.isfinite(c) for c in model.coefficients):
         raise ModelLoadError(f"corrupt model file {path}: non-finite coefficients")

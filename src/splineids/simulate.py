@@ -7,20 +7,34 @@ an informative predictor; the default cell parameters below were frozen after
 tuning the end-to-end pipeline into the >95%-accuracy regime for all five
 models (see README).
 
+Records travel as a :class:`TrafficTable`: one numpy column per field (packet
+delay and transfer interval float64, packet drops int64, the congestion flag
+bool, the attack type an int8 code into ``AttackType``), with the label
+derived from the attack code. The table checks all its columns at once when
+it is built; iterating it yields :class:`TrafficRecord` rows.
+
 Randomness: a single PCG64 generator seeded from ``ScenarioConfig.seed``.
 Draw order is fixed: first ``n_vehicles`` per-vehicle delay-jitter normals,
 then per record: congestion uniform, attack uniform, attack-type uniform
 (only when attacked), vehicle index, delay normal, drop Poisson, interval
-normal.
+normal. These scalar draws are the stream a seed reproduces; the
+exponentials that turn log-delays and log-intervals into milliseconds run
+once over each column afterwards.
+
+The CSV reader and writer go ``_BLOCK_ROWS`` rows at a time, so neither holds
+the whole file as text.
 """
 
 import csv
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -48,7 +62,7 @@ def _is_finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class TrafficRecord:
-    """One simulated network observation."""
+    """One simulated network observation: a row of a :class:`TrafficTable`."""
 
     packet_delay_ms: float
     packets_dropped: int
@@ -57,17 +71,124 @@ class TrafficRecord:
     attack_type: AttackType
     label: int
 
+
+_ATTACK_CODES = {t: code for code, t in enumerate(AttackType)}  # NONE is 0
+
+# the columns of a table, in CSV order, with their dtypes
+_COLUMNS = (
+    ("packet_delay_ms", np.float64),
+    ("packets_dropped", np.int64),
+    ("transfer_interval_ms", np.float64),
+    ("congested", np.bool_),
+    ("attack_code", np.int8),
+)
+
+
+class RowError(ValueError):
+    """A table row fails a column check; ``row`` is the first row that does."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+def _first_fault(*checks: tuple[np.ndarray, Callable[[int], str]]) -> tuple[int, str] | None:
+    """The first row any check flags, and the message of the first check flagging it.
+
+    Each check is a boolean mask over the rows and a message for a row index.
+    """
+    first = None
+    for bad, message in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), message)
+    if first is None:
+        return None
+    row, message = first
+    return row, message(row)
+
+
+@dataclass(frozen=True, eq=False)
+class TrafficTable:
+    """Traffic records as read-only numpy columns; row ``i`` of each is record ``i``.
+
+    Each column is converted to its dtype in ``_COLUMNS``; ``attack_code``
+    indexes ``AttackType`` (0 is ``NONE``). Every row is checked at once: a
+    delay or an interval that is not finite and positive, a negative drop
+    count or an unknown attack code raises :class:`RowError` naming the first
+    such row.
+    """
+
+    packet_delay_ms: np.ndarray
+    packets_dropped: np.ndarray
+    transfer_interval_ms: np.ndarray
+    congested: np.ndarray
+    attack_code: np.ndarray
+
     def __post_init__(self):
-        if not (math.isfinite(self.packet_delay_ms) and self.packet_delay_ms > 0):
-            raise ValueError(f"packet_delay_ms must be finite and positive, got {self.packet_delay_ms}")
-        if not (math.isfinite(self.transfer_interval_ms) and self.transfer_interval_ms > 0):
-            raise ValueError(f"transfer_interval_ms must be finite and positive, got {self.transfer_interval_ms}")
-        if self.packets_dropped < 0:
-            raise ValueError(f"packets_dropped must be nonnegative, got {self.packets_dropped}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if (self.label == 1) != (self.attack_type is not AttackType.NONE):
-            raise ValueError(f"label {self.label} inconsistent with attack_type {self.attack_type.value}")
+        for name, dtype in _COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shapes = {column.shape for column in self._columns()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        delay, drops, interval, _, code = self._columns()
+        fault = _first_fault(
+            (~((delay > 0) & (delay < math.inf)),
+             lambda i: f"packet_delay_ms must be finite and positive, got {delay[i].item()}"),
+            (~((interval > 0) & (interval < math.inf)),
+             lambda i: f"transfer_interval_ms must be finite and positive, got {interval[i].item()}"),
+            (drops < 0, lambda i: f"packets_dropped must be nonnegative, got {drops[i].item()}"),
+            ((code < 0) | (code >= len(AttackType)), lambda i: f"unknown attack code {code[i].item()}"),
+        )
+        if fault is not None:
+            raise RowError(*fault)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrafficRecord]) -> "TrafficTable":
+        """The table of ``records``; a label that disagrees with its attack type is a RowError."""
+        records = list(records)
+        for i, r in enumerate(records):
+            if r.label != int(r.attack_type is not AttackType.NONE):
+                raise RowError(i, f"label {r.label} inconsistent with attack_type {r.attack_type.value}")
+        return cls(
+            [r.packet_delay_ms for r in records],
+            [r.packets_dropped for r in records],
+            [r.transfer_interval_ms for r in records],
+            [r.congested for r in records],
+            [_ATTACK_CODES[r.attack_type] for r in records],
+        )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name, _ in _COLUMNS)
+
+    @property
+    def label(self) -> np.ndarray:
+        """1 where the record is an attack, else 0 (int64)."""
+        return (self.attack_code != 0).astype(np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(column.nbytes for column in self._columns())
+
+    def __len__(self) -> int:
+        return len(self.packet_delay_ms)
+
+    def __getitem__(self, rows) -> "TrafficTable":
+        """The table of ``rows``: a slice, an array of row indices or a boolean mask."""
+        return TrafficTable(*(column[rows] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[TrafficRecord]:
+        types = tuple(AttackType)
+        for delay, drops, interval, congested, code in zip(*(c.tolist() for c in self._columns())):
+            yield TrafficRecord(delay, drops, interval, congested, types[code], int(code != 0))
+
+    def __eq__(self, other):
+        if not isinstance(other, TrafficTable):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
 
 
 @dataclass(frozen=True)
@@ -140,92 +261,172 @@ class ScenarioConfig:
         object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
 
 
-def _cell_for(config: ScenarioConfig, attacked: bool, congested: bool) -> CellParams:
-    if attacked:
-        return config.attack_congested if congested else config.attack_uncongested
-    return config.normal_congested if congested else config.normal_uncongested
-
-
-def generate_dataset(config: ScenarioConfig) -> list[TrafficRecord]:
+def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     """Generate exactly ``config.n_records`` records, deterministic per seed."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    jitter = rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles)
+    jitter = rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles).tolist()
     mix = np.asarray(config.attack_mix, dtype=float)
-    cum_mix = np.cumsum(mix / mix.sum())
+    cum_mix = np.cumsum(mix / mix.sum()).tolist()
+    # indexed by 2 * attacked + congested
+    cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
+    congested_fraction, attack_fraction = config.congested_fraction, config.attack_fraction
+    n_vehicles = config.n_vehicles
+    # numpy draws normal(mu, sigma) as mu + sigma * standard_normal(), so the stream is the same
+    uniform, integers, normal, poisson = rng.random, rng.integers, rng.standard_normal, rng.poisson
 
-    records = []
-    # an overflowing draw gives inf, which the record's own check rejects
+    congested, codes, log_delay, drops, log_interval = [], [], [], [], []
+    failure = None
+    try:
+        for _ in range(config.n_records):
+            c = uniform() < congested_fraction
+            attacked = uniform() < attack_fraction
+            codes.append(bisect_right(cum_mix, uniform()) + 1 if attacked else 0)
+            vehicle = integers(0, n_vehicles)
+            cell = cells[2 * attacked + c]
+            congested.append(c)
+            log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * normal())
+            drops.append(poisson(cell.drop_rate))
+            log_interval.append(cell.interval_mu + cell.interval_sigma * normal())
+    except ValueError as err:  # numpy's Poisson sampler rejects too large a rate
+        failure = str(err)
+
+    n = len(log_interval)  # the records drawn in full
+    # an overflowing draw gives inf, which the table's check rejects
     with np.errstate(over="ignore"):
-        try:
-            for _ in range(config.n_records):
-                congested = bool(rng.random() < config.congested_fraction)
-                attacked = bool(rng.random() < config.attack_fraction)
-                attack_type = AttackType.NONE
-                if attacked:
-                    u = rng.random()
-                    attack_type = ATTACK_TYPES[int(np.searchsorted(cum_mix, u, side="right"))]
-                vehicle = int(rng.integers(0, config.n_vehicles))
-                cell = _cell_for(config, attacked, congested)
-                records.append(
-                    TrafficRecord(
-                        packet_delay_ms=float(np.exp(rng.normal(cell.delay_mu + jitter[vehicle], cell.delay_sigma))),
-                        packets_dropped=int(rng.poisson(cell.drop_rate)),
-                        transfer_interval_ms=float(np.exp(rng.normal(cell.interval_mu, cell.interval_sigma))),
-                        congested=congested,
-                        attack_type=attack_type,
-                        label=1 if attacked else 0,
-                    )
-                )
-        except ValueError as err:
-            raise ConfigError(f"scenario draws an invalid record {len(records)}: {err}") from None
-    return records
+        delay, interval = np.exp(log_delay[:n]), np.exp(log_interval)
+    try:
+        table = TrafficTable(delay, drops, interval, congested[:n], codes[:n])
+    except RowError as err:
+        raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
+    if failure is not None:
+        raise ConfigError(f"scenario draws an invalid record {n}: {failure}")
+    return table
 
 
-def write_csv(records: Iterable[TrafficRecord], path: str | Path) -> None:
-    """Write records in the canonical schema; reals carry 17 significant digits."""
+_BLOCK_ROWS = 4096  # CSV rows read or written at a time
+
+# the last three fields of a written row, indexed by len(AttackType) * congested + attack code
+_ROW_TAILS = tuple(f"{c},{t.value},{int(t is not AttackType.NONE)}\n" for c in (0, 1) for t in AttackType)
+
+
+def write_csv(table: TrafficTable, path: str | Path) -> None:
+    """Write ``table`` in the canonical schema; reals carry 17 significant digits."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.packet_delay_ms:.17g},{r.packets_dropped},"
-                f"{r.transfer_interval_ms:.17g},{int(r.congested)},"
-                f"{r.attack_type.value},{r.label}\n"
-            )
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            tails = block.congested * len(AttackType) + block.attack_code
+            fh.write("".join(
+                f"{delay:.17g},{drops},{interval:.17g},{_ROW_TAILS[tail]}"
+                for delay, drops, interval, tail in zip(
+                    block.packet_delay_ms.tolist(),
+                    block.packets_dropped.tolist(),
+                    block.transfer_interval_ms.tolist(),
+                    tails.tolist(),
+                )
+            ))
 
 
-def read_csv(path: str | Path) -> list[TrafficRecord]:
-    """Read records written by :func:`write_csv`; errors carry the file line number."""
-    tokens = {t.value: t for t in AttackType}
-    records = []
-    # undecodable bytes fail the field checks below, which name their line
+_TYPE_CODES = {t.value: code for t, code in _ATTACK_CODES.items()}
+_FLAGS = {"0": 0, "1": 1}
+
+
+def _label_code(text: str) -> int:
+    """``int(text)`` if that is a label (0 or 1), else -1."""
+    value = int(text)
+    return value if value in (0, 1) else -1
+
+
+def _convert(
+    texts: tuple[str, ...], parse: Callable, dtype: type, name: str
+) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """``parse`` over ``texts`` as an array, and None; if a text fails, the values
+    before it, and its index with the message."""
+    try:
+        return np.fromiter(map(parse, texts), dtype, len(texts)), None
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for i, text in enumerate(texts):
+        try:
+            values.append(dtype(parse(text)))
+        except ValueError as err:
+            return np.array(values, dtype), (i, str(err))
+        except OverflowError:
+            return np.array(values, dtype), (i, f"{name} must fit in {np.dtype(dtype)}, got {text}")
+    return np.array(values, dtype), None
+
+
+def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
+    """The table of the csv ``rows`` that start at file line ``first_line``; blank rows are skipped.
+
+    A row is checked in this order: field count, attack type, congested flag,
+    the conversion of each numeric field, the table's checks, then the label.
+    The first faulty row raises ParseError with its line and its first fault.
+    """
+    lines = range(first_line, first_line + len(rows))
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    faults = [_first_fault((widths != 6, lambda i: f"expected 6 fields, got {len(rows[i])}"))]
+    n = faults[0][0] if faults[0] else len(rows)
+    delay_s, drops_s, interval_s, flag_s, type_s, label_s = zip(*rows[:n]) if n else ((),) * 6
+
+    codes = np.fromiter(map(_TYPE_CODES.get, type_s, repeat(-1)), np.int8, n)
+    flags = np.fromiter(map(_FLAGS.get, flag_s, repeat(-1)), np.int8, n)
+    faults.append(_first_fault(
+        (codes < 0, lambda i: f"unknown attack_type '{type_s[i]}'"),
+        (flags < 0, lambda i: f"congested must be 0 or 1, got '{flag_s[i]}'"),
+    ))
+    delay, fault = _convert(delay_s, float, np.float64, "packet_delay_ms")
+    faults.append(fault)
+    drops, fault = _convert(drops_s, int, np.int64, "packets_dropped")
+    faults.append(fault)
+    interval, fault = _convert(interval_s, float, np.float64, "transfer_interval_ms")
+    faults.append(fault)
+    labels, fault = _convert(label_s, _label_code, np.int8, "label")
+    faults.append(fault)
+
+    # every row before the first of those faults has all its fields; check their values
+    cut = min((f[0] for f in faults if f), default=n)
+    codes, labels = codes[:cut], labels[:cut]
+    try:
+        table = TrafficTable(delay[:cut], drops[:cut], interval[:cut], flags[:cut] == 1, codes)
+    except RowError as err:
+        faults.append((err.row, err.reason))
+    faults.append(_first_fault(
+        (labels < 0, lambda i: f"label must be 0 or 1, got {int(label_s[i])}"),
+        ((labels == 1) != (codes != 0), lambda i: f"label {labels[i]} inconsistent with attack_type {type_s[i]}"),
+    ))
+    faults = [f for f in faults if f]
+    if faults:
+        row, reason = min(faults, key=itemgetter(0))  # ties go to the earlier check
+        raise ParseError(f"line {lines[row]}: {reason}")
+    return table
+
+
+def read_csv(path: str | Path) -> TrafficTable:
+    """Read a table written by :func:`write_csv`; errors carry the file line number."""
+    tables, block, line = [], [], 2
+    # undecodable bytes fail the field checks, which name their line
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or ",".join(header) != CSV_HEADER:
             raise ParseError(f"line 1: expected header '{CSV_HEADER}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"line {lineno}: expected 6 fields, got {len(row)}")
-            delay_s, drops_s, interval_s, congested_s, type_s, label_s = row
-            if type_s not in tokens:
-                raise ParseError(f"line {lineno}: unknown attack_type '{type_s}'")
-            if congested_s not in ("0", "1"):
-                raise ParseError(f"line {lineno}: congested must be 0 or 1, got '{congested_s}'")
-            try:
-                record = TrafficRecord(
-                    packet_delay_ms=float(delay_s),
-                    packets_dropped=int(drops_s),
-                    transfer_interval_ms=float(interval_s),
-                    congested=congested_s == "1",
-                    attack_type=tokens[type_s],
-                    label=int(label_s),
-                )
-            except ValueError as err:
-                raise ParseError(f"line {lineno}: {err}") from None
-            records.append(record)
-    return records
+        try:
+            for row in reader:
+                block.append(row)
+                if len(block) == _BLOCK_ROWS:
+                    tables.append(_parse_block(block, line))
+                    line += len(block)
+                    block = []
+        except csv.Error:
+            _parse_block(block, line)  # a faulty row before the unreadable one is reported first
+            raise
+    tables.append(_parse_block(block, line))
+    return TrafficTable(*(np.concatenate(column) for column in zip(*(t._columns() for t in tables))))
 
 
 _CELL_NAMES = ("normal_uncongested", "normal_congested", "attack_uncongested", "attack_congested")

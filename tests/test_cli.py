@@ -307,6 +307,28 @@ def test_corrupt_model_basis_is_2(trained, tmp_path, basis):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(iterations=math.inf),
+        lambda doc: doc["basis"].update(degree=math.inf),
+        lambda doc: doc["basis"].update(domain=[1.0]),
+    ],
+    ids=["iterations_1e400", "degree_1e400", "domain_one_edge"],
+)
+def test_unloadable_model_field_is_2(trained, tmp_path, edit):
+    data, model = trained
+    doc = json.loads(model.read_text())
+    edit(doc)
+    bad = tmp_path / "model.json"
+    # json writes inf as Infinity; the file under test spells it 1e400, which reads back as inf
+    bad.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    code, out, err = main_in_process("evaluate", "--load", bad, "--data", data)
+    assert code == 2, err
+    assert_one_error_line(err)
+    assert err.startswith("splineids: data error:") and out == ""
+
+
 @pytest.mark.parametrize("model", ["logistic", "linear"])
 def test_overflowing_fit_is_3(tmp_path, model):
     # finite delays whose squares overflow the IRLS normal equations

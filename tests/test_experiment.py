@@ -46,7 +46,7 @@ class TestSplit:
 
     def test_partition_preserves_records(self):
         train, test = split_train_test(self.records, 0.8, 7)
-        assert sorted(map(repr, train + test)) == sorted(map(repr, self.records))
+        assert sorted(map(repr, [*train, *test])) == sorted(map(repr, self.records))
 
     def test_empty_test_side(self):
         with pytest.raises(SplitError):
