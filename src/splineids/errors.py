@@ -22,7 +22,7 @@ class OutOfDomainError(SplineIdsError):
 
 
 class InsufficientDataError(SplineIdsError):
-    """Too few data points for the requested spline construction."""
+    """Too few data points, or training labels of one class, for the requested fit."""
 
 
 class InvalidAbscissaeError(SplineIdsError):

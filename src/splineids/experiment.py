@@ -2,9 +2,9 @@
 model persistence.
 
 Knots are always taken from training-set delays only (no test leakage), and
-the clamped B-spline domain is the training delay range expanded by 1% of its
-span on each side; test delays outside that domain are clamped to the edge
-and counted as warnings so every test record stays scored.
+the clamped B-spline domain is the training delay range; test delays outside
+that domain are clamped to the edge and counted as warnings so every test
+record stays scored.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateKnotsError, ModelLoadError, SplitError
+from .errors import ConfigError, DegenerateKnotsError, InsufficientDataError, ModelLoadError, SplitError
 from .logistic import (
     ConfusionMatrix,
     LogisticModel,
@@ -28,10 +28,8 @@ from .logistic import (
     fit_logistic,
     predict_prob,
 )
-from .simulate import ScenarioConfig, TrafficTable, generate_dataset, read_csv, scenario_to_dict
+from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, generate_dataset, read_csv, scenario_to_dict
 from .splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
-
-DOMAIN_MARGIN = 0.01  # fraction of the training delay span added per side
 
 MODEL_FILE_FORMAT = "splineids-model"
 MODEL_FILE_VERSION = 1
@@ -225,16 +223,17 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
     """Fit each model in ``config.models`` on training delays ``x`` and labels ``y``.
 
     The knots are the ``config.knot_probs`` quantiles of ``x``; the B-spline
-    domain is the range of ``x`` widened by ``DOMAIN_MARGIN`` of its span on
-    each side. Models come back in ``ALL_MODELS`` order.
+    domain is the range of ``x``. Models come back in ``ALL_MODELS`` order.
+    Labels of one class have no maximum-likelihood fit and raise
+    :class:`InsufficientDataError`.
     """
     knots = quantile_knots(x, config.knot_probs)
-    lo, hi = float(x.min()), float(x.max())
-    margin = DOMAIN_MARGIN * (hi - lo)
-    domain = (lo - margin, hi + margin)
-    if not (-math.inf < domain[0] < knots[0] and knots[-1] < domain[1] < math.inf):
+    if np.all(y == y[0]):
+        raise InsufficientDataError(f"every training label is {y[0]}; a fit needs both classes, 0 and 1")
+    domain = (float(x.min()), float(x.max()))
+    if not (domain[0] < knots[0] and knots[-1] < domain[1]):
         raise DegenerateKnotsError(
-            f"training delays [{lo}, {hi}] leave no finite domain around knots {knots.values}"
+            f"knots {knots.values} do not lie strictly inside the training delays {list(domain)}"
         )
     models = {}
     for kind in ALL_MODELS:
@@ -383,8 +382,8 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     The grid spans the clamped B-spline domain, so each curve can be
     replotted without extrapolation.
     """
-    if grid_points < 2:
-        raise ConfigError("grid_points must be >= 2")
+    if not 2 <= grid_points <= MAX_COUNT:
+        raise ConfigError(f"grid_points must be in [2, {MAX_COUNT}], got {grid_points}")
     report, fitted = _run(config)
     delays = np.linspace(*fitted.domain, grid_points)
     probabilities = {}

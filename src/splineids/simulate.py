@@ -11,7 +11,8 @@ Records travel as a :class:`TrafficTable`: one numpy column per field (packet
 delay and transfer interval float64, packet drops int64, the congestion flag
 bool, the attack type an int8 code into ``AttackType``), with the label
 derived from the attack code. The table checks all its columns at once when
-it is built; iterating it yields :class:`TrafficRecord` rows.
+it is built, against the value rule ``_value_fault``; iterating it yields
+:class:`TrafficRecord` rows.
 
 Randomness: a single PCG64 generator seeded from ``ScenarioConfig.seed``.
 Draw order is fixed: first ``n_vehicles`` per-vehicle delay-jitter normals,
@@ -22,7 +23,9 @@ exponentials that turn log-delays and log-intervals into milliseconds run
 once over each column afterwards.
 
 The CSV reader and writer go ``_BLOCK_ROWS`` rows at a time, so neither holds
-the whole file as text.
+the whole file as text. The order in which a CSV row's faults are checked
+lives in one per-row rule, ``_row_fault``: the reader converts a clean block
+a column at a time and re-checks a faulty one row by row with that rule.
 """
 
 import csv
@@ -31,10 +34,8 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -93,20 +94,22 @@ class RowError(ValueError):
         self.reason = reason
 
 
-def _first_fault(*checks: tuple[np.ndarray, Callable[[int], str]]) -> tuple[int, str] | None:
-    """The first row any check flags, and the message of the first check flagging it.
+def _value_fault(delay: float, drops: int, interval: float, code: int) -> str | None:
+    """The first value rule a row breaks, or None.
 
-    Each check is a boolean mask over the rows and a message for a row index.
+    The rules, in order: the delay, then the interval, must be finite and
+    positive; the drop count must be nonnegative; the attack code must index
+    ``AttackType``.
     """
-    first = None
-    for bad, message in checks:
-        hits = np.flatnonzero(bad)
-        if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), message)
-    if first is None:
-        return None
-    row, message = first
-    return row, message(row)
+    if not 0 < delay < math.inf:
+        return f"packet_delay_ms must be finite and positive, got {delay}"
+    if not 0 < interval < math.inf:
+        return f"transfer_interval_ms must be finite and positive, got {interval}"
+    if drops < 0:
+        return f"packets_dropped must be nonnegative, got {drops}"
+    if not 0 <= code < len(AttackType):
+        return f"unknown attack code {code}"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +117,9 @@ class TrafficTable:
     """Traffic records as read-only numpy columns; row ``i`` of each is record ``i``.
 
     Each column is converted to its dtype in ``_COLUMNS``; ``attack_code``
-    indexes ``AttackType`` (0 is ``NONE``). Every row is checked at once: a
-    delay or an interval that is not finite and positive, a negative drop
-    count or an unknown attack code raises :class:`RowError` naming the first
-    such row.
+    indexes ``AttackType`` (0 is ``NONE``). Every row is checked at once
+    against the value rule, ``_value_fault``; the first row that breaks it
+    raises :class:`RowError` with that rule's message.
     """
 
     packet_delay_ms: np.ndarray
@@ -135,16 +137,11 @@ class TrafficTable:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
         delay, drops, interval, _, code = self._columns()
-        fault = _first_fault(
-            (~((delay > 0) & (delay < math.inf)),
-             lambda i: f"packet_delay_ms must be finite and positive, got {delay[i].item()}"),
-            (~((interval > 0) & (interval < math.inf)),
-             lambda i: f"transfer_interval_ms must be finite and positive, got {interval[i].item()}"),
-            (drops < 0, lambda i: f"packets_dropped must be nonnegative, got {drops[i].item()}"),
-            ((code < 0) | (code >= len(AttackType)), lambda i: f"unknown attack code {code[i].item()}"),
-        )
-        if fault is not None:
-            raise RowError(*fault)
+        good = (delay > 0) & (delay < math.inf) & (interval > 0) & (interval < math.inf)
+        good &= (drops >= 0) & (code >= 0) & (code < len(AttackType))
+        if not good.all():
+            row = int(good.argmin())
+            raise RowError(row, _value_fault(*(column[row].item() for column in (delay, drops, interval, code))))
 
     @classmethod
     def from_records(cls, records: Iterable[TrafficRecord]) -> "TrafficTable":
@@ -328,82 +325,72 @@ def write_csv(table: TrafficTable, path: str | Path) -> None:
 
 
 _TYPE_CODES = {t.value: code for t, code in _ATTACK_CODES.items()}
-_FLAGS = {"0": 0, "1": 1}
+_FLAGS = {"0": False, "1": True}
 
 
-def _label_code(text: str) -> int:
-    """``int(text)`` if that is a label (0 or 1), else -1."""
-    value = int(text)
-    return value if value in (0, 1) else -1
+def _row_fault(row: list[str]) -> str | None:
+    """The first check the csv ``row`` fails, or None.
 
-
-def _convert(
-    texts: tuple[str, ...], parse: Callable, dtype: type, name: str
-) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """``parse`` over ``texts`` as an array, and None; if a text fails, the values
-    before it, and its index with the message."""
+    The checks, in order: the field count, the attack type, the congested
+    flag, the conversion of each numeric field (a drop count must also fit
+    in int64), the value rule ``_value_fault``, then the label: 0 or 1, and
+    1 exactly when the record is an attack.
+    """
+    if len(row) != 6:
+        return f"expected 6 fields, got {len(row)}"
+    delay_s, drops_s, interval_s, flag_s, type_s, label_s = row
+    if type_s not in _TYPE_CODES:
+        return f"unknown attack_type '{type_s}'"
+    if flag_s not in _FLAGS:
+        return f"congested must be 0 or 1, got '{flag_s}'"
     try:
-        return np.fromiter(map(parse, texts), dtype, len(texts)), None
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for i, text in enumerate(texts):
-        try:
-            values.append(dtype(parse(text)))
-        except ValueError as err:
-            return np.array(values, dtype), (i, str(err))
-        except OverflowError:
-            return np.array(values, dtype), (i, f"{name} must fit in {np.dtype(dtype)}, got {text}")
-    return np.array(values, dtype), None
+        delay, drops, interval, label = float(delay_s), np.int64(int(drops_s)), float(interval_s), int(label_s)
+    except OverflowError:  # only np.int64 overflows
+        return f"packets_dropped must fit in int64, got {drops_s}"
+    except ValueError as err:
+        return str(err)
+    code = _TYPE_CODES[type_s]
+    fault = _value_fault(delay, drops, interval, code)
+    if fault is not None:
+        return fault
+    if label not in (0, 1):
+        return f"label must be 0 or 1, got {label}"
+    if label != (code != 0):
+        return f"label {label} inconsistent with attack_type {type_s}"
+    return None
 
 
 def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
     """The table of the csv ``rows`` that start at file line ``first_line``; blank rows are skipped.
 
-    A row is checked in this order: field count, attack type, congested flag,
-    the conversion of each numeric field, the table's checks, then the label.
-    The first faulty row raises ParseError with its line and its first fault.
+    The block is converted a column at a time. If that fails anywhere, the
+    block is checked row by row with ``_row_fault``, and the first faulty row
+    raises ParseError with its line and its fault.
     """
     lines = range(first_line, first_line + len(rows))
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    faults = [_first_fault((widths != 6, lambda i: f"expected 6 fields, got {len(rows[i])}"))]
-    n = faults[0][0] if faults[0] else len(rows)
-    delay_s, drops_s, interval_s, flag_s, type_s, label_s = zip(*rows[:n]) if n else ((),) * 6
-
-    codes = np.fromiter(map(_TYPE_CODES.get, type_s, repeat(-1)), np.int8, n)
-    flags = np.fromiter(map(_FLAGS.get, flag_s, repeat(-1)), np.int8, n)
-    faults.append(_first_fault(
-        (codes < 0, lambda i: f"unknown attack_type '{type_s[i]}'"),
-        (flags < 0, lambda i: f"congested must be 0 or 1, got '{flag_s[i]}'"),
-    ))
-    delay, fault = _convert(delay_s, float, np.float64, "packet_delay_ms")
-    faults.append(fault)
-    drops, fault = _convert(drops_s, int, np.int64, "packets_dropped")
-    faults.append(fault)
-    interval, fault = _convert(interval_s, float, np.float64, "transfer_interval_ms")
-    faults.append(fault)
-    labels, fault = _convert(label_s, _label_code, np.int8, "label")
-    faults.append(fault)
-
-    # every row before the first of those faults has all its fields; check their values
-    cut = min((f[0] for f in faults if f), default=n)
-    codes, labels = codes[:cut], labels[:cut]
+    n = len(rows)
     try:
-        table = TrafficTable(delay[:cut], drops[:cut], interval[:cut], flags[:cut] == 1, codes)
-    except RowError as err:
-        faults.append((err.row, err.reason))
-    faults.append(_first_fault(
-        (labels < 0, lambda i: f"label must be 0 or 1, got {int(label_s[i])}"),
-        ((labels == 1) != (codes != 0), lambda i: f"label {labels[i]} inconsistent with attack_type {type_s[i]}"),
-    ))
-    faults = [f for f in faults if f]
-    if faults:
-        row, reason = min(faults, key=itemgetter(0))  # ties go to the earlier check
-        raise ParseError(f"line {lines[row]}: {reason}")
-    return table
+        delay_s, drops_s, interval_s, flag_s, type_s, label_s = zip(*rows, strict=True) if n else ((),) * 6
+        codes = np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n)
+        table = TrafficTable(
+            np.fromiter(map(float, delay_s), np.float64, n),
+            np.fromiter(map(int, drops_s), np.int64, n),
+            np.fromiter(map(float, interval_s), np.float64, n),
+            np.fromiter(map(_FLAGS.__getitem__, flag_s), np.bool_, n),
+            codes,
+        )
+        if np.array_equal(np.fromiter(map(int, label_s), np.int64, n), codes != 0):
+            return table
+    except (KeyError, ValueError, OverflowError):
+        pass
+    for line, row in zip(lines, rows):
+        fault = _row_fault(row)
+        if fault is not None:
+            raise ParseError(f"line {line}: {fault}")
+    raise AssertionError("a block failed its column conversion, but no row fails _row_fault")
 
 
 def read_csv(path: str | Path) -> TrafficTable:

@@ -20,7 +20,7 @@ from splineids.experiment import (
     load_model,
     score_model,
 )
-from splineids.simulate import ScenarioConfig, read_csv, scenario_to_dict
+from splineids.simulate import MAX_COUNT, ScenarioConfig, read_csv, scenario_to_dict
 
 CMD = [sys.executable, "-m", "splineids"]
 
@@ -276,16 +276,13 @@ class TestUnusableDataIs2:
         "body",
         [
             (HEADER + "\n1,0,1,0,none,0\n").encode() + b"\xff,0,1,0,dos,1\n",
-            # the 1% margin rounds away next to 1.0, so the first knot sits on the domain edge
+            # the 0.25 quantile is the lowest delay, so the first knot sits on the domain edge
             (HEADER + "\n1,0,1,0,none,0\n1,0,1,0,dos,1\n1.0000000000000002,0,1,0,none,0\n"
              "1.0000000000000004,0,1,0,dos,1\n1.0000000000000009,0,1,0,none,0\n").encode(),
-            # the widened domain overflows to inf
-            (HEADER + "\n1,0,1,0,none,0\n2,0,1,0,dos,1\n3,0,1,0,none,0\n"
-             "1.7e308,0,1,0,dos,1\n1.79e308,0,1,0,none,0\n").encode(),
             # past the csv module's field size limit
             (HEADER + "\n1,0,1,0,none," + "0" * 140_000 + "\n").encode(),
         ],
-        ids=["not_utf8", "domain_rounds_onto_knot", "domain_overflows", "field_too_large"],
+        ids=["not_utf8", "domain_rounds_onto_knot", "field_too_large"],
     )
     def test_train(self, tmp_path, body):
         data = tmp_path / "data.csv"
@@ -293,6 +290,28 @@ class TestUnusableDataIs2:
         code, _, err = main_in_process("train", "--data", data, "--model", "linear", "--save", tmp_path / "m.json")
         assert code == 2, err
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("command", ["experiment", "train"])
+    def test_one_class_training_labels(self, tmp_path, command):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"attack_fraction": 0.0}))
+        if command == "experiment":
+            argv = ("experiment", "--scenario", cfg)
+        else:
+            argv = ("train", "--scenario", cfg, "--model", "bspline", "--save", tmp_path / "m.json")
+        code, out, err = main_in_process(*argv)
+        assert code == 2, err
+        assert_one_error_line(err)
+        assert err.startswith("splineids: data error: every training label is 0;") and out == ""
+        assert not (tmp_path / "m.json").exists()
+
+
+def test_curves_grid_above_max_count_is_1(tmp_path):
+    out = tmp_path / "curves.csv"
+    code, _, err = main_in_process("curves", "--grid", MAX_COUNT + 1, "--out", out)
+    assert code == 1, err
+    assert_one_error_line(err)
+    assert err.startswith("splineids: config error: grid_points") and not out.exists()
 
 
 @pytest.mark.parametrize("basis", [[], "bspline", {"kind": "bspline"}])
@@ -340,6 +359,17 @@ def test_overflowing_fit_is_3(tmp_path, model):
     code, _, err = main_in_process("train", "--data", data, "--model", model, "--save", tmp_path / "m.json")
     assert code == 3, err
     assert_one_error_line(err)
+
+
+def test_delays_near_the_largest_float_are_3(tmp_path):
+    # the domain [1, 1.79e308] is finite, but the fit overflows
+    data = tmp_path / "data.csv"
+    data.write_text(HEADER + "\n1,0,1,0,none,0\n2,0,1,0,dos,1\n3,0,1,0,none,0\n"
+                    "1.7e308,0,1,0,dos,1\n1.79e308,0,1,0,none,0\n")
+    code, _, err = main_in_process("train", "--data", data, "--model", "linear", "--save", tmp_path / "m.json")
+    assert code == 3, err
+    assert_one_error_line(err)
+    assert err.startswith("splineids: numerical failure:")
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)

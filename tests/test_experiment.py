@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from splineids.errors import ConfigError, ModelLoadError, SplitError
+from splineids.errors import ConfigError, DegenerateKnotsError, InsufficientDataError, ModelLoadError, SplitError
 from splineids.experiment import (
     ALL_MODELS,
     ExperimentConfig,
@@ -206,6 +206,36 @@ class TestCurves:
         lo, hi = default_report.bspline_domain
         assert bundle.delays[0] == pytest.approx(lo)
         assert bundle.delays[-1] == pytest.approx(hi)
+
+    def test_grid_starts_at_the_lowest_training_delay(self):
+        # the domain is the training range, so no grid point is negative; for seed 1 the lowest
+        # training delays are all normal, and every model scores the grid's first point as normal
+        config = ExperimentConfig(scenario=ScenarioConfig(seed=1))
+        report = run_experiment(config)
+        bundle = emit_curves(config, grid_points=200)
+        assert bundle.delays[0] == report.bspline_domain[0] > 0.0
+        assert bundle.delays[-1] == report.bspline_domain[1]
+        for probs in bundle.probabilities.values():
+            assert probs[0] < 0.5
+
+
+class TestFitModels:
+    def test_domain_is_the_training_range(self):
+        x, y = delays_and_labels(generate_dataset(ScenarioConfig(n_records=200, seed=11)))
+        fitted = fit_models(ExperimentConfig(models=(ModelKind.BSPLINE,)), x, y)
+        assert fitted.domain == (x.min(), x.max())
+        assert fitted.models[ModelKind.BSPLINE].basis_spec.domain == fitted.domain
+
+    def test_knot_on_the_lowest_delay_is_rejected(self):
+        x = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        with pytest.raises(DegenerateKnotsError, match="strictly inside"):
+            fit_models(ExperimentConfig(knot_probs=(0.25, 0.5)), x, np.array([0, 1] * 4))
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_labels_are_rejected(self, label):
+        x = np.arange(1.0, 21.0)
+        with pytest.raises(InsufficientDataError, match=f"^every training label is {label};"):
+            fit_models(ExperimentConfig(), x, np.full(20, label))
 
 
 class TestScoreModel:

@@ -280,6 +280,26 @@ class TestTrafficTable:
             TrafficTable(**columns)
         assert err.value.row == 2
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # an earlier row that fails a later check wins over a later row that fails an earlier one
+            ({1: ("packets_dropped", -1), 3: ("packet_delay_ms", math.nan)},
+             "row 1: packets_dropped must be nonnegative, got -1"),
+            ({1: ("attack_code", 9), 3: ("transfer_interval_ms", -2.0)}, "row 1: unknown attack code 9"),
+            ({1: ("transfer_interval_ms", math.inf), 3: ("packet_delay_ms", 0.0)},
+             "row 1: transfer_interval_ms must be finite and positive, got inf"),
+            ({3: ("packet_delay_ms", math.nan)}, "row 3: packet_delay_ms must be finite and positive, got nan"),
+        ],
+    )
+    def test_first_bad_row_wins_over_check_order(self, rows, message):
+        columns = {name: getattr(self.table, name).copy() for name, _ in simulate._COLUMNS}
+        for row, (column, value) in rows.items():
+            columns[column][row] = value
+        with pytest.raises(RowError, match=f"^{message}$") as err:
+            TrafficTable(**columns)
+        assert err.value.row == min(rows)
+
     def test_earlier_check_wins_on_one_row(self):
         with pytest.raises(RowError, match="packet_delay_ms"):
             TrafficTable([-1.0], [-1], [-1.0], [False], [0])
