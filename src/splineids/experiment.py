@@ -408,17 +408,40 @@ def _spec_to_dict(spec: SplineBasisSpec | None) -> dict | None:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON values a model file field may hold, by the name its error message gives them
+_JSON_KINDS = {
+    "boolean": lambda value: isinstance(value, bool),
+    "integer": lambda value: _is_number(value) and isinstance(value, int),
+    "nonnegative integer": lambda value: _is_number(value) and isinstance(value, int) and value >= 0,
+    "number": _is_number,
+    "list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+}
+
+
+def _field(doc: dict, key: str, kind: str):
+    """``doc[key]``; a value that is not a JSON ``kind`` (a key of ``_JSON_KINDS``) is a ValueError."""
+    value = doc[key]
+    if not _JSON_KINDS[kind](value):
+        raise ValueError(f"{key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def _spec_from_dict(data: dict | None) -> SplineBasisSpec | None:
     if data is None:
         return None
     kinds = {k.value: k for k in BasisKind}
     if data.get("kind") not in kinds:
         raise ModelLoadError(f"unknown basis kind {data.get('kind')!r}")
+    domain = _field(data, "domain", "list of numbers")
     return SplineBasisSpec(
         kind=kinds[data["kind"]],
-        degree=int(data["degree"]),
-        interior_knots=KnotVector(tuple(data["interior_knots"])),
-        domain=(float(data["domain"][0]), float(data["domain"][1])),
+        degree=_field(data, "degree", "integer"),
+        interior_knots=KnotVector(tuple(_field(data, "interior_knots", "list of numbers"))),
+        domain=(float(domain[0]), float(domain[1])),
     )
 
 
@@ -451,12 +474,12 @@ def load_model(path: str | Path) -> LogisticModel:
         )
     try:
         model = LogisticModel(
-            intercept=float(doc["intercept"]),
-            coefficients=tuple(float(c) for c in doc["coefficients"]),
+            intercept=float(_field(doc, "intercept", "number")),
+            coefficients=tuple(map(float, _field(doc, "coefficients", "list of numbers"))),
             basis_spec=_spec_from_dict(doc["basis"]),
-            converged=bool(doc["converged"]),
-            iterations=int(doc["iterations"]),
-            separation_flag=bool(doc["separation_flag"]),
+            converged=_field(doc, "converged", "boolean"),
+            iterations=_field(doc, "iterations", "nonnegative integer"),
+            separation_flag=_field(doc, "separation_flag", "boolean"),
         )
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise ModelLoadError(f"corrupt model file {path}: {err}") from None

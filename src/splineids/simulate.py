@@ -26,6 +26,15 @@ The CSV reader and writer go ``_BLOCK_ROWS`` rows at a time, so neither holds
 the whole file as text. The order in which a CSV row's faults are checked
 lives in one per-row rule, ``_row_fault``: the reader converts a clean block
 a column at a time and re-checks a faulty one row by row with that rule.
+
+A plain row is a line that ends in a newline, has exactly six
+comma-separated fields, holds no quote, carriage return or NUL, and is no
+longer than ``csv.field_size_limit()``; ``csv.reader`` splits it exactly as
+``line[:-1].split(",")`` does. The reader splits a block of plain rows with
+string operations and converts its columns with the same helper,
+``_table_of``, as the ``csv.reader`` path. From the first block that is not
+all plain rows, or that fails a check, every row goes through ``csv.reader``
+and ``_row_fault``, with unchanged messages.
 """
 
 import csv
@@ -34,8 +43,9 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -360,20 +370,15 @@ def _row_fault(row: list[str]) -> str | None:
     return None
 
 
-def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
-    """The table of the csv ``rows`` that start at file line ``first_line``; blank rows are skipped.
+def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable | None:
+    """The table of six string columns in CSV order, or None if a field fails a conversion or a check.
 
-    The block is converted a column at a time. If that fails anywhere, the
-    block is checked row by row with ``_row_fault``, and the first faulty row
-    raises ParseError with its line and its fault.
+    The checks are the table's value rule and then the label, which must be
+    1 exactly when the record is an attack.
     """
-    lines = range(first_line, first_line + len(rows))
-    if not all(rows):
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
-    n = len(rows)
     try:
-        delay_s, drops_s, interval_s, flag_s, type_s, label_s = zip(*rows, strict=True) if n else ((),) * 6
+        delay_s, drops_s, interval_s, flag_s, type_s, label_s = columns
+        n = len(delay_s)
         codes = np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n)
         table = TrafficTable(
             np.fromiter(map(float, delay_s), np.float64, n),
@@ -386,6 +391,23 @@ def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
             return table
     except (KeyError, ValueError, OverflowError):
         pass
+    return None
+
+
+def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
+    """The table of the csv ``rows`` that start at file line ``first_line``; blank rows are skipped.
+
+    The block is converted a column at a time. If that fails anywhere, the
+    block is checked row by row with ``_row_fault``, and the first faulty row
+    raises ParseError with its line and its fault.
+    """
+    lines = range(first_line, first_line + len(rows))
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    table = _table_of(zip(*rows, strict=True) if rows else ((),) * 6)
+    if table is not None:
+        return table
     for line, row in zip(lines, rows):
         fault = _row_fault(row)
         if fault is not None:
@@ -393,17 +415,39 @@ def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
     raise AssertionError("a block failed its column conversion, but no row fails _row_fault")
 
 
+def _plain_block(lines: list[str]) -> TrafficTable | None:
+    """The table of ``lines`` if each is a plain row (see the module docstring), or None.
+
+    None also when a field fails a conversion or a check, so that the
+    ``csv.reader`` path reports it.
+    """
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    n = len(lines)
+    # each newline becomes a field of its own, so the newline of line k must be field 7k + 6
+    fields = text.replace("\n", ",\n,").split(",")
+    if len(fields) != 7 * n + 1 or fields[6::7].count("\n") != n:
+        return None
+    columns = [fields[i : 7 * n : 7] for i in range(6)]
+    del text, fields  # free the block's text before the conversions allocate
+    return _table_of(columns)
+
+
 def read_csv(path: str | Path) -> TrafficTable:
     """Read a table written by :func:`write_csv`; errors carry the file line number."""
     tables, block, line = [], [], 2
     # undecodable bytes fail the field checks, which name their line
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or ",".join(header) != CSV_HEADER:
             raise ParseError(f"line 1: expected header '{CSV_HEADER}'")
+        while (lines := list(islice(fh, _BLOCK_ROWS))) and (table := _plain_block(lines)) is not None:
+            tables.append(table)
+            line += len(lines)
+        # from the first block that is not plain, or fails a check, to the end of the file
         try:
-            for row in reader:
+            for row in csv.reader(chain(lines, fh)):
                 block.append(row)
                 if len(block) == _BLOCK_ROWS:
                     tables.append(_parse_block(block, line))

@@ -348,6 +348,32 @@ def test_unloadable_model_field_is_2(trained, tmp_path, edit):
     assert err.startswith("splineids: data error:") and out == ""
 
 
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("converged", "false", "boolean"),
+        ("separation_flag", 0, "boolean"),
+        ("iterations", 3.7, "nonnegative integer"),
+        ("iterations", -3, "nonnegative integer"),
+        ("intercept", True, "number"),
+        ("coefficients", [1.0, True], "list of numbers"),
+        ("basis.degree", 2.5, "integer"),
+        ("basis.domain", ["1", "80"], "list of numbers"),
+    ],
+)
+def test_mistyped_model_field_is_2(trained, tmp_path, key, value, kind):
+    data, model = trained
+    doc = json.loads(model.read_text())
+    *parent, name = key.split(".")
+    (doc[parent[0]] if parent else doc)[name] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = main_in_process("evaluate", "--load", bad, "--data", data)
+    assert code == 2, err
+    assert err == f"splineids: data error: corrupt model file {bad}: {name} must be a JSON {kind}, got {value!r}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("model", ["logistic", "linear"])
 def test_overflowing_fit_is_3(tmp_path, model):
     # finite delays whose squares overflow the IRLS normal equations

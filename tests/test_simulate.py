@@ -116,6 +116,16 @@ class TestGenerateDataset:
             CellParams(1.0, 1.0, -2.0, 1.0, 1.0)
 
 
+# finite positive reals at both ends of the float64 range, subnormals and values that need 17 digits
+extreme_reals = st.one_of(
+    st.sampled_from([
+        5e-324, 1e-320, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+        0.30000000000000004, 1.0000000000000002, 9007199254740993.0, 123456789.12345679,
+    ]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
+)
+
+
 class TestCsvRoundTrip:
     def test_empty_list(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -162,6 +172,31 @@ class TestCsvRoundTrip:
         table = TrafficTable.from_records([record])
         write_csv(table, path)
         assert read_csv(path) == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(extreme_reals, st.integers(0, 2**63 - 1), extreme_reals, st.booleans(), st.integers(0, 4)),
+            max_size=14,
+        )
+    )
+    def test_round_trip_is_bit_exact_through_plain_blocks(self, tmp_path_factory, rows):
+        columns = list(zip(*rows)) or [[]] * 5
+        table = TrafficTable(*columns)
+        path = tmp_path_factory.mktemp("rt") / "table.csv"
+        write_csv(table, path)
+        with mock.patch.object(simulate, "_BLOCK_ROWS", 3), mock.patch.object(
+            simulate, "_parse_block", wraps=simulate._parse_block
+        ) as parse_block:
+            result = read_csv(path)
+        # only the empty end of the file goes through csv.reader
+        assert [call.args[0] for call in parse_block.call_args_list] == [[]]
+        for name, dtype in simulate._COLUMNS:
+            got, want = getattr(result, name), getattr(table, name)
+            assert got.dtype == dtype
+            if dtype is np.float64:
+                got, want = got.view(np.int64), want.view(np.int64)
+            assert np.array_equal(got, want), name
 
 
 class TestCsvParseErrors:
@@ -372,7 +407,7 @@ VALID_ROW = ["2.5", "1", "90.0", "0", "none", "0"]
 ATTACK_ROW = ["30.25", "3", "40.5", "1", "dos", "1"]
 JUNK = [
     "abc", '"1.5"', '"a,b"', '"', "nan", "inf", "-inf", "-0", "1_0", " 3", "", "1e400", "-1", "2",
-    "0", "1", "none", "dos", "worm", "\udcff", "1.5\udcfe", "+1", "01", "0x10", "1e-320",
+    "0", "1", "none", "dos", "worm", "\udcff", "1.5\udcfe", "+1", "01", "0x10", "1e-320", "\r", "\x00",
 ]
 
 row_strategy = st.one_of(
@@ -398,6 +433,36 @@ mutation_strategy = st.one_of(
 def write_rows(path, rows):
     lines = [CSV_HEADER] + [",".join(row) if row is not None else "" for row in rows]
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+
+
+PLAIN_ROWS = [",".join(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(12)]
+
+
+def csv_text(edits=(), end="\n"):
+    """A CSV of ``PLAIN_ROWS``, each ended by ``end``; ``edits`` maps a row index to the text of its line."""
+    lines = [row + end for row in PLAIN_ROWS]
+    for i, line in dict(edits).items():
+        lines[i] = line
+    return CSV_HEADER + "\n" + "".join(lines)
+
+
+# CSVs in which some line is not a plain row, or a plain block holds a fault; read 4 rows to a block
+QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6, two blocks
+OFF_PLAIN_PATH = {
+    "crlf": csv_text(end="\r\n"),
+    "lone_cr": csv_text({5: PLAIN_ROWS[5] + "\r"}),
+    "quoted_field": csv_text({6: '"' + PLAIN_ROWS[6].replace(",", '",', 1) + "\n"}),
+    "quoted_newline_across_blocks": csv_text({3: QUOTED_NEWLINE}),
+    "quoted_newline_then_fault": csv_text({3: QUOTED_NEWLINE, 9: "-1" + PLAIN_ROWS[9][5:] + "\n"}),
+    "nul": csv_text({7: PLAIN_ROWS[7].replace("90.0", "90.\x000") + "\n"}),
+    "no_final_newline": csv_text()[:-1],
+    # split as one run of fields, each of these pairs up into two valid rows
+    "five_then_seven_fields": csv_text({2: "2.5,1,90.0,0,none\n", 3: "0,2.5,1,90.0,0,none,0\n"}),
+    "two_rows_joined_by_a_field": csv_text({2: PLAIN_ROWS[2] + ",0," + PLAIN_ROWS[2] + "\n"}),
+    "plain_block_then_faulty_block": csv_text({5: "-1" + PLAIN_ROWS[5][3:] + "\n"}),
+    # float() reads this delay, but it is past the csv field size limit
+    "oversized_delay": csv_text({6: "1." + "0" * 140_000 + PLAIN_ROWS[6][5:] + "\n"}),
+}
 
 
 class TestReaderParity:
@@ -439,6 +504,20 @@ class TestReaderParity:
         expected = outcome(oracle_read_csv, path)
         assert expected.startswith(f"line {bad + 2 + (blank is not None and blank <= bad)}:")
         assert outcome(read_csv, path) == expected
+
+    @pytest.mark.parametrize("text", OFF_PLAIN_PATH.values(), ids=OFF_PLAIN_PATH.keys())
+    def test_rows_off_the_plain_path(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 4)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+
+        def result(reader):
+            try:
+                return outcome(reader, path)
+            except csv.Error as err:
+                return f"csv.Error: {err}"
+
+        assert result(read_csv) == result(oracle_read_csv)
 
     @pytest.mark.parametrize("blanks", [(), (3,), (3, 4), (0, 7)])
     def test_blank_lines_beside_a_block_boundary(self, tmp_path, monkeypatch, blanks):
@@ -484,4 +563,4 @@ def test_read_peak_allocation_stays_near_the_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.nbytes
+    assert peak <= 2.5 * table.nbytes
