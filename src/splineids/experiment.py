@@ -296,9 +296,17 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
     return report, fitted
 
 
+# the fit of the last run_experiment call on a scenario config, until emit_curves takes it; a
+# scenario fixes its data through the seeded stream, while a CSV may change between two calls
+_last_fit: tuple[ExperimentConfig, FittedModels] | None = None
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the comparison: load/generate, split, fit each model, score the test set."""
-    return _run(config)[0]
+    global _last_fit
+    report, fitted = _run(config)
+    _last_fit = (config, fitted) if config.data_csv is None else None
+    return report
 
 
 def render_report(report: ExperimentReport, fmt: str = "text") -> str:
@@ -379,18 +387,22 @@ def emit_report(report: ExperimentReport, fmt: str = "text", path: str | Path | 
 def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle:
     """Fit per ``config`` and evaluate every model over an even delay grid.
 
-    The grid spans the clamped B-spline domain, so each curve can be
-    replotted without extrapolation.
+    When the preceding :func:`run_experiment` call ran an equal scenario
+    config, its fit is reused instead of refitted; each such fit feeds one
+    curves call at most. The grid spans the clamped B-spline domain, so each
+    curve can be replotted without extrapolation.
     """
+    global _last_fit
     if not 2 <= grid_points <= MAX_COUNT:
         raise ConfigError(f"grid_points must be in [2, {MAX_COUNT}], got {grid_points}")
-    report, fitted = _run(config)
+    last, _last_fit = _last_fit, None
+    fitted = last[1] if last is not None and last[0] == config else _run(config)[1]
     delays = np.linspace(*fitted.domain, grid_points)
     probabilities = {}
     for kind, model in fitted.models.items():
         dm = build_design_matrix(model.basis_spec, delays)
         probabilities[kind] = predict_prob(model, dm)
-    return CurveBundle(delays, probabilities, report.config_digest)
+    return CurveBundle(delays, probabilities, config_digest(config))
 
 
 def write_curves_csv(bundle: CurveBundle, path: str | Path) -> None:
@@ -437,6 +449,8 @@ def _spec_from_dict(data: dict | None) -> SplineBasisSpec | None:
     if data.get("kind") not in kinds:
         raise ModelLoadError(f"unknown basis kind {data.get('kind')!r}")
     domain = _field(data, "domain", "list of numbers")
+    if len(domain) != 2:
+        raise ValueError(f"domain must be a JSON list of two numbers, got {domain!r}")
     return SplineBasisSpec(
         kind=kinds[data["kind"]],
         degree=_field(data, "degree", "integer"),

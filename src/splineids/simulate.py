@@ -394,14 +394,13 @@ def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable | None:
     return None
 
 
-def _parse_block(rows: list[list[str]], first_line: int) -> TrafficTable:
-    """The table of the csv ``rows`` that start at file line ``first_line``; blank rows are skipped.
+def _parse_block(rows: list[list[str]], lines: list[int]) -> TrafficTable:
+    """The table of the csv ``rows``, which start at file lines ``lines``; blank rows are skipped.
 
     The block is converted a column at a time. If that fails anywhere, the
     block is checked row by row with ``_row_fault``, and the first faulty row
     raises ParseError with its line and its fault.
     """
-    lines = range(first_line, first_line + len(rows))
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
@@ -436,7 +435,7 @@ def _plain_block(lines: list[str]) -> TrafficTable | None:
 
 def read_csv(path: str | Path) -> TrafficTable:
     """Read a table written by :func:`write_csv`; errors carry the file line number."""
-    tables, block, line = [], [], 2
+    tables, block, starts, line = [], [], [], 2
     # undecodable bytes fail the field checks, which name their line
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -445,18 +444,21 @@ def read_csv(path: str | Path) -> TrafficTable:
         while (lines := list(islice(fh, _BLOCK_ROWS))) and (table := _plain_block(lines)) is not None:
             tables.append(table)
             line += len(lines)
-        # from the first block that is not plain, or fails a check, to the end of the file
+        # from the first block that is not plain, or fails a check, to the end of the file;
+        # a row is numbered by the file line it starts on, as a quoted field may hold newlines
+        reader, first = csv.reader(chain(lines, fh)), line
         try:
-            for row in csv.reader(chain(lines, fh)):
+            for row in reader:
                 block.append(row)
+                starts.append(line)
+                line = first + reader.line_num
                 if len(block) == _BLOCK_ROWS:
-                    tables.append(_parse_block(block, line))
-                    line += len(block)
-                    block = []
+                    tables.append(_parse_block(block, starts))
+                    block, starts = [], []
         except csv.Error:
-            _parse_block(block, line)  # a faulty row before the unreadable one is reported first
+            _parse_block(block, starts)  # a faulty row before the unreadable one is reported first
             raise
-    tables.append(_parse_block(block, line))
+    tables.append(_parse_block(block, starts))
     return TrafficTable(*(np.concatenate(column) for column in zip(*(t._columns() for t in tables))))
 
 

@@ -359,6 +359,7 @@ def test_unloadable_model_field_is_2(trained, tmp_path, edit):
         ("coefficients", [1.0, True], "list of numbers"),
         ("basis.degree", 2.5, "integer"),
         ("basis.domain", ["1", "80"], "list of numbers"),
+        ("basis.domain", [1.17, 78.8, 5.0], "list of two numbers"),
     ],
 )
 def test_mistyped_model_field_is_2(trained, tmp_path, key, value, kind):

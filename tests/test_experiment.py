@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from splineids import experiment
 from splineids.errors import ConfigError, DegenerateKnotsError, InsufficientDataError, ModelLoadError, SplitError
 from splineids.experiment import (
     ALL_MODELS,
@@ -217,6 +218,64 @@ class TestCurves:
         assert bundle.delays[-1] == report.bspline_domain[1]
         for probs in bundle.probabilities.values():
             assert probs[0] < 0.5
+
+
+SMALL = ExperimentConfig(scenario=ScenarioConfig(n_records=300, seed=7))
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The calls ``experiment`` makes to ``fit_logistic``, one entry each."""
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return fit_logistic(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_logistic", counting_fit)
+    return calls
+
+
+class TestCurvesReuseTheRunFit:
+    def test_curves_after_a_run_fit_nothing(self, fit_calls):
+        run_experiment(SMALL)
+        emit_curves(SMALL, grid_points=20)
+        assert len(fit_calls) == 5
+
+    def test_each_run_fits(self, fit_calls):
+        run_experiment(SMALL)
+        run_experiment(SMALL)
+        assert len(fit_calls) == 10
+
+    def test_a_run_fit_feeds_one_curves_call(self, fit_calls):
+        run_experiment(SMALL)
+        emit_curves(SMALL, grid_points=20)
+        emit_curves(SMALL, grid_points=20)
+        assert len(fit_calls) == 10
+
+    def test_another_split_seed_refits(self, fit_calls):
+        other = ExperimentConfig(scenario=SMALL.scenario, split_seed=7)
+        run_experiment(SMALL)
+        bundle = emit_curves(other, grid_points=20)
+        assert len(fit_calls) == 10
+        assert bundle.config_digest == config_digest(other)
+
+    def test_curves_match_a_fresh_fit_byte_for_byte(self):
+        run_experiment(SMALL)
+        reused = emit_curves(SMALL, grid_points=200).to_csv()
+        assert reused == emit_curves(SMALL, grid_points=200).to_csv()
+
+    def test_csv_rewritten_after_the_run_is_refitted(self, tmp_path):
+        from splineids.simulate import write_csv
+
+        path = tmp_path / "data.csv"
+        config = ExperimentConfig(data_csv=str(path))
+        write_csv(generate_dataset(ScenarioConfig(n_records=300, seed=1)), path)
+        old = emit_curves(config, grid_points=20).to_csv()
+        run_experiment(config)
+        write_csv(generate_dataset(ScenarioConfig(n_records=300, seed=2)), path)
+        curves = emit_curves(config, grid_points=20).to_csv()
+        assert curves == emit_curves(config, grid_points=20).to_csv() != old
 
 
 class TestFitModels:

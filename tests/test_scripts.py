@@ -24,6 +24,15 @@ def test_reproduce_comparison_matches_cli(tmp_path):
     assert cli.returncode == 0, cli.stderr
     assert (outdir / "report.txt").read_text() == cli.stdout
 
+    # the script's curves reuse its run's fit; the CLI's come from a fresh one
+    curves = tmp_path / "curves.csv"
+    cli = run(
+        "-m", "splineids", "curves", "--scenario", scenario, "--seed", "42", "--split-seed", "42",
+        "--grid", "200", "--out", curves,
+    )
+    assert cli.returncode == 0, cli.stderr
+    assert (outdir / "curves.csv").read_bytes() == curves.read_bytes()
+
 
 def test_seed_sweep_runs():
     result = run(SCRIPTS / "seed_sweep.py", "--seeds", "2")

@@ -352,6 +352,8 @@ class TestTrafficTable:
 def oracle_read_csv(path):
     """The per-row reader that ``read_csv`` replaced, with its record checks inline.
 
+    A record's ``line N`` is the file line it starts on.
+
     Returns the columns (delays, drops, intervals, congested flags, attack codes) as lists.
     """
     tokens = {t.value: t for t in AttackType}
@@ -361,7 +363,9 @@ def oracle_read_csv(path):
         header = next(reader, None)
         if header is None or ",".join(header) != CSV_HEADER:
             raise ParseError(f"line 1: expected header '{CSV_HEADER}'")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 6:
@@ -518,6 +522,16 @@ class TestReaderParity:
                 return f"csv.Error: {err}"
 
         assert result(read_csv) == result(oracle_read_csv)
+
+    @pytest.mark.parametrize("block_rows", [4, 4096])
+    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_rows):
+        # the attack label of row 3 spans file lines 5 and 6, so the faulty row 9 is on file line 12
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "data.csv"
+        path.write_bytes(OFF_PLAIN_PATH["quoted_newline_then_fault"].encode())
+        for reader in (read_csv, oracle_read_csv):
+            with pytest.raises(ParseError, match=r"^line 12: packet_delay_ms must be finite and positive, got -1\.0$"):
+                reader(path)
 
     @pytest.mark.parametrize("blanks", [(), (3,), (3, 4), (0, 7)])
     def test_blank_lines_beside_a_block_boundary(self, tmp_path, monkeypatch, blanks):
