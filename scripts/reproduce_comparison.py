@@ -6,8 +6,10 @@ and prints the text report to stdout.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
+from splineids.errors import SplineIdsError
 from splineids.experiment import (
     ExperimentConfig,
     emit_curves,
@@ -44,4 +46,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except SplineIdsError as err:  # one line, as the CLI reports it
+        sys.exit(f"{Path(__file__).name}: error: {' '.join(str(err).splitlines())}")

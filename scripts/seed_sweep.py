@@ -6,16 +6,26 @@ Useful for checking that the default scenario sits robustly inside the
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
+from splineids.errors import SplineIdsError
 from splineids.experiment import ExperimentConfig, ModelKind, run_experiment
 from splineids.simulate import ScenarioConfig
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=50, help="number of seeds (1..N)")
+    parser.add_argument("--seeds", type=positive_int, default=50, help="number of seeds (1..N)")
     parser.add_argument("--split-seed", type=int, default=42)
     parser.add_argument("--n", type=int, default=600)
     args = parser.parse_args()
@@ -44,4 +54,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except SplineIdsError as err:  # one line, as the CLI reports it
+        sys.exit(f"{Path(__file__).name}: error: {' '.join(str(err).splitlines())}")

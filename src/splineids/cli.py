@@ -59,13 +59,19 @@ def _parse_probs(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse knot probabilities '{text}'")
 
 
-def _experiment_config(args) -> exp.ExperimentConfig:
-    scenario = None
+def _scenario_of(args) -> ScenarioConfig | None:
+    """The scenario that ``--scenario`` and ``--seed`` name, or None when the data come from ``--data``."""
     if args.data is None:
-        scenario = _load_scenario(args.scenario, args.seed)
+        return _load_scenario(args.scenario, args.seed)
+    if args.seed is not None:
+        raise ConfigError("--seed sets the scenario seed, so it cannot be used with --data")
+    return None
+
+
+def _experiment_config(args) -> exp.ExperimentConfig:
     return exp.ExperimentConfig(
         data_csv=args.data,
-        scenario=scenario,
+        scenario=_scenario_of(args),
         split_ratio=args.split_ratio,
         split_seed=args.split_seed,
         knot_probs=_parse_probs(args.knots),
@@ -80,7 +86,7 @@ def _add_data_args(p):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--data", help="input traffic CSV")
     group.add_argument("--scenario", help="scenario config JSON (default: built-in scenario)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed (not with --data)")
 
 
 def _add_experiment_args(p):
@@ -156,7 +162,7 @@ def _cmd_curves(args) -> None:
 def _cmd_train(args) -> None:
     config = exp.ExperimentConfig(
         data_csv=args.data,
-        scenario=None if args.data is not None else _load_scenario(args.scenario, args.seed),
+        scenario=_scenario_of(args),
         knot_probs=_parse_probs(args.knots),
         models=_parse_models(args.model),
         bspline_degree=args.bspline_degree,

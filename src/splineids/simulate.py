@@ -18,9 +18,21 @@ Randomness: a single PCG64 generator seeded from ``ScenarioConfig.seed``.
 Draw order is fixed: first ``n_vehicles`` per-vehicle delay-jitter normals,
 then per record: congestion uniform, attack uniform, attack-type uniform
 (only when attacked), vehicle index, delay normal, drop Poisson, interval
-normal. These scalar draws are the stream a seed reproduces; the
+normal. These scalar draws are stream 1, the stream a seed reproduces; the
 exponentials that turn log-delays and log-intervals into milliseconds run
-once over each column afterwards.
+once over each column afterwards. Stream 1 is defined by PCG64's 64-bit
+words, as numpy's ``Generator`` reads them:
+
+- a uniform is ``(word >> 11) * 2**-53`` (``Generator.random()``), one word
+  each; the loop tests ``u < f`` as ``word < ceil(f * 2**53) << 11``, which
+  is the same test for every f in [0, 1];
+- the vehicle index is ``Generator.integers(0, n_vehicles)``: Lemire's
+  multiply-and-reject on 32-bit draws ``x``, giving ``x * n >> 32`` unless
+  the low 32 bits of ``x * n`` fall below ``2**32 % n``, which draws again.
+  A 32-bit draw is the low half of a fresh word, and the high half is kept
+  for the next 32-bit draw; one vehicle makes no draw;
+- the normals and Poisson drops are numpy's scalar ``standard_normal`` and
+  ``poisson``, called on the same generator.
 
 The CSV reader and writer go ``_BLOCK_ROWS`` rows at a time, so neither holds
 the whole file as text. The order in which a CSV row's faults are checked
@@ -268,49 +280,75 @@ class ScenarioConfig:
         object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
 
 
+_BLOCK_ROWS = 4096  # records drawn, or CSV rows read or written, at a time
+
+
+def _concat(tables: Sequence[TrafficTable]) -> TrafficTable:
+    return TrafficTable(*(np.concatenate(column) for column in zip(*(t._columns() for t in tables))))
+
+
 def generate_dataset(config: ScenarioConfig) -> TrafficTable:
-    """Generate exactly ``config.n_records`` records, deterministic per seed."""
+    """Generate exactly ``config.n_records`` records, deterministic per seed.
+
+    Stream 1 is drawn as the module docstring says, ``_BLOCK_ROWS`` records
+    at a time; each block is checked as a table before the next is drawn.
+    """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     jitter = rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles).tolist()
     mix = np.asarray(config.attack_mix, dtype=float)
     cum_mix = np.cumsum(mix / mix.sum()).tolist()
     # indexed by 2 * attacked + congested
     cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
-    congested_fraction, attack_fraction = config.congested_fraction, config.attack_fraction
+    # a uniform (word >> 11) * 2**-53 is below f exactly when word is below ceil(f * 2**53) << 11
+    congested_below = math.ceil(config.congested_fraction * 2.0**53) << 11
+    attacked_below = math.ceil(config.attack_fraction * 2.0**53) << 11
     n_vehicles = config.n_vehicles
+    reject_below = 2**32 % n_vehicles  # Lemire's threshold for a 32-bit draw
     # numpy draws normal(mu, sigma) as mu + sigma * standard_normal(), so the stream is the same
-    uniform, integers, normal, poisson = rng.random, rng.integers, rng.standard_normal, rng.poisson
+    word, normal, poisson = rng.bit_generator.random_raw, rng.standard_normal, rng.poisson
+    half = None  # the high half of a word whose low half was a 32-bit draw
 
-    congested, codes, log_delay, drops, log_interval = [], [], [], [], []
-    failure = None
-    try:
-        for _ in range(config.n_records):
-            c = uniform() < congested_fraction
-            attacked = uniform() < attack_fraction
-            codes.append(bisect_right(cum_mix, uniform()) + 1 if attacked else 0)
-            vehicle = integers(0, n_vehicles)
-            cell = cells[2 * attacked + c]
-            congested.append(c)
-            log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * normal())
-            drops.append(poisson(cell.drop_rate))
-            log_interval.append(cell.interval_mu + cell.interval_sigma * normal())
-    except ValueError as err:  # numpy's Poisson sampler rejects too large a rate
-        failure = str(err)
+    tables = []
+    for start in range(0, config.n_records, _BLOCK_ROWS):
+        congested, codes, log_delay, drops, log_interval = [], [], [], [], []
+        failure = None
+        try:
+            for _ in range(min(_BLOCK_ROWS, config.n_records - start)):
+                c = word() < congested_below
+                attacked = word() < attacked_below
+                codes.append(bisect_right(cum_mix, (word() >> 11) * 2.0**-53) + 1 if attacked else 0)
+                vehicle = 0
+                if n_vehicles > 1:
+                    while True:
+                        if half is None:
+                            x = word()
+                            x, half = x & 0xFFFFFFFF, x >> 32
+                        else:
+                            x, half = half, None
+                        x *= n_vehicles
+                        if x & 0xFFFFFFFF >= reject_below:
+                            break
+                    vehicle = x >> 32
+                cell = cells[2 * attacked + c]
+                congested.append(c)
+                log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * normal())
+                drops.append(poisson(cell.drop_rate))
+                log_interval.append(cell.interval_mu + cell.interval_sigma * normal())
+        except ValueError as err:  # numpy's Poisson sampler rejects too large a rate
+            failure = str(err)
 
-    n = len(log_interval)  # the records drawn in full
-    # an overflowing draw gives inf, which the table's check rejects
-    with np.errstate(over="ignore"):
-        delay, interval = np.exp(log_delay[:n]), np.exp(log_interval)
-    try:
-        table = TrafficTable(delay, drops, interval, congested[:n], codes[:n])
-    except RowError as err:
-        raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
-    if failure is not None:
-        raise ConfigError(f"scenario draws an invalid record {n}: {failure}")
-    return table
+        n = len(log_interval)  # the records of this block drawn in full
+        # an overflowing draw gives inf, which the table's check rejects
+        with np.errstate(over="ignore"):
+            delay, interval = np.exp(log_delay[:n]), np.exp(log_interval)
+        try:
+            tables.append(TrafficTable(delay, drops, interval, congested[:n], codes[:n]))
+        except RowError as err:
+            raise ConfigError(f"scenario draws an invalid record {start + err.row}: {err.reason}") from None
+        if failure is not None:
+            raise ConfigError(f"scenario draws an invalid record {start + n}: {failure}")
+    return _concat(tables)
 
-
-_BLOCK_ROWS = 4096  # CSV rows read or written at a time
 
 # the last three fields of a written row, indexed by len(AttackType) * congested + attack code
 _ROW_TAILS = tuple(f"{c},{t.value},{int(t is not AttackType.NONE)}\n" for c in (0, 1) for t in AttackType)
@@ -459,7 +497,7 @@ def read_csv(path: str | Path) -> TrafficTable:
             _parse_block(block, starts)  # a faulty row before the unreadable one is reported first
             raise
     tables.append(_parse_block(block, starts))
-    return TrafficTable(*(np.concatenate(column) for column in zip(*(t._columns() for t in tables))))
+    return _concat(tables)
 
 
 _CELL_NAMES = ("normal_uncongested", "normal_congested", "attack_uncongested", "attack_congested")

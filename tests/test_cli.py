@@ -248,6 +248,25 @@ class TestConfigErrorsAre1:
         assert_one_error_line(err)
 
     @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("experiment", ()),
+            ("curves", ("--out", "curves.csv")),
+            ("train", ("--model", "linear", "--save", "m.json")),
+        ],
+        ids=["experiment", "curves", "train"],
+    )
+    def test_seed_with_data(self, trained, tmp_path, command, extra):
+        # the seed would have no data to seed, so it is not silently ignored
+        data, _ = trained
+        extra = tuple(tmp_path / arg if arg.endswith((".csv", ".json")) else arg for arg in extra)
+        code, out, err = main_in_process(command, "--data", data, "--seed", "5", *extra)
+        assert code == 1, err
+        assert_one_error_line(err)
+        assert err.startswith("splineids: config error: --seed") and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "extra",
         [
             ("--bspline-degree", "5"),

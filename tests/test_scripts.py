@@ -38,3 +38,20 @@ def test_seed_sweep_runs():
     result = run(SCRIPTS / "seed_sweep.py", "--seeds", "2")
     assert result.returncode == 0, result.stderr
     assert "separation-flagged fits" in result.stdout
+
+
+def test_seed_sweep_rejects_fewer_than_one_seed():
+    result = run(SCRIPTS / "seed_sweep.py", "--seeds", "0")
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage:") and "Traceback" not in result.stderr
+    assert "argument --seeds: must be at least 1, got 0" in result.stderr
+
+
+def test_package_error_ends_in_one_line(tmp_path):
+    for script, args in [
+        ("reproduce_comparison.py", ["--n", "1", "--outdir", tmp_path]),
+        ("seed_sweep.py", ["--seeds", "1", "--n", "1"]),
+    ]:
+        result = run(SCRIPTS / script, *args)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == f"{script}: error: need at least 2 records to split\n"

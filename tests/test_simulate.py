@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import json
 import math
 import tracemalloc
+from bisect import bisect_right
 from unittest import mock
 
 import numpy as np
@@ -270,6 +272,166 @@ def test_stream_1_csv_digest_is_pinned(tmp_path, n, seed, digest):
     path = tmp_path / "traffic.csv"
     assert cli.main(["simulate", "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_stream_1_csv_digest_with_lemire_rejections_is_pinned(tmp_path):
+    # a million vehicles: this stream redraws 6 of its vehicle indices after a Lemire rejection,
+    # which at the default 52 vehicles happens about once in 1e8 draws; recorded with numpy 2.4
+    config, path = tmp_path / "scenario.json", tmp_path / "traffic.csv"
+    config.write_text(json.dumps({"n_vehicles": 1_000_000}))
+    argv = ["simulate", "--config", str(config), "--n", "20000", "--seed", "3", "--out", str(path)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "271058bc1e63d6002a4a615d8ae617173bb5c19b1416b99cf6a77bbf51613fc4"
+    )
+
+
+def oracle_generate_dataset(config: ScenarioConfig) -> TrafficTable:
+    """The scalar loop that ``generate_dataset`` replaced: numpy's own uniform and integer samplers."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    jitter = rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles).tolist()
+    mix = np.asarray(config.attack_mix, dtype=float)
+    cum_mix = np.cumsum(mix / mix.sum()).tolist()
+    # indexed by 2 * attacked + congested
+    cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
+    congested_fraction, attack_fraction = config.congested_fraction, config.attack_fraction
+    n_vehicles = config.n_vehicles
+    # numpy draws normal(mu, sigma) as mu + sigma * standard_normal(), so the stream is the same
+    uniform, integers, normal, poisson = rng.random, rng.integers, rng.standard_normal, rng.poisson
+
+    congested, codes, log_delay, drops, log_interval = [], [], [], [], []
+    failure = None
+    try:
+        for _ in range(config.n_records):
+            c = uniform() < congested_fraction
+            attacked = uniform() < attack_fraction
+            codes.append(bisect_right(cum_mix, uniform()) + 1 if attacked else 0)
+            vehicle = integers(0, n_vehicles)
+            cell = cells[2 * attacked + c]
+            congested.append(c)
+            log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * normal())
+            drops.append(poisson(cell.drop_rate))
+            log_interval.append(cell.interval_mu + cell.interval_sigma * normal())
+    except ValueError as err:  # numpy's Poisson sampler rejects too large a rate
+        failure = str(err)
+
+    n = len(log_interval)  # the records drawn in full
+    # an overflowing draw gives inf, which the table's check rejects
+    with np.errstate(over="ignore"):
+        delay, interval = np.exp(log_delay[:n]), np.exp(log_interval)
+    try:
+        table = TrafficTable(delay, drops, interval, congested[:n], codes[:n])
+    except RowError as err:
+        raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
+    if failure is not None:
+        raise ConfigError(f"scenario draws an invalid record {n}: {failure}")
+    return table
+
+
+def generated(generate, config):
+    """The columns ``generate`` returns as lists, or the message of its ConfigError."""
+    try:
+        table = generate(config)
+    except ConfigError as err:
+        return str(err)
+    return tuple(getattr(table, name).tolist() for name, _ in simulate._COLUMNS)
+
+
+# 1 makes no integer draw and 2 never rejects one; n rejects a 32-bit draw with odds (2**32 % n) / 2**32
+VEHICLE_COUNTS = [1, 2, 3, 52, 65_537, 999_983, 1_000_000]
+EDGE_FRACTIONS = [0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0]
+fractions = st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0))
+# numpy's Poisson sampler inverts the CDF below a rate of 10 and uses rejection from 10 up
+drop_rates = st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_max=True), st.floats(10.0, 1e4))
+cells = st.builds(
+    CellParams,
+    delay_mu=st.floats(-3.0, 6.0),
+    delay_sigma=st.floats(0.01, 2.0),
+    drop_rate=drop_rates,
+    interval_mu=st.floats(-3.0, 6.0),
+    interval_sigma=st.floats(0.01, 2.0),
+)
+scenarios = st.builds(
+    ScenarioConfig,
+    n_records=st.integers(1, 300),
+    n_vehicles=st.sampled_from(VEHICLE_COUNTS),
+    attack_fraction=fractions,
+    congested_fraction=fractions,
+    attack_mix=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=4, max_size=4).filter(
+        lambda mix: sum(mix) > 0
+    ),
+    normal_uncongested=cells,
+    normal_congested=cells,
+    attack_uncongested=cells,
+    attack_congested=cells,
+    vehicle_jitter_sigma=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64),
+)
+
+
+class TestGeneratorOracle:
+    """``generate_dataset`` draws the stream of numpy's scalar samplers, word for word."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=scenarios)
+    def test_matches_the_scalar_loop(self, config):
+        assert generated(generate_dataset, config) == generated(oracle_generate_dataset, config)
+
+    @pytest.mark.parametrize("n_vehicles", VEHICLE_COUNTS)
+    def test_matches_the_scalar_loop_beside_a_block_boundary(self, monkeypatch, n_vehicles):
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 7)
+        config = ScenarioConfig(n_records=50, n_vehicles=n_vehicles, seed=n_vehicles)
+        assert generate_dataset(config) == oracle_generate_dataset(config)
+
+    def test_matches_the_scalar_loop_through_lemire_rejections(self):
+        # the stream of the third pinned digest, which redraws 6 vehicle indices
+        config = ScenarioConfig(n_records=20_000, n_vehicles=1_000_000, seed=3)
+        assert generate_dataset(config) == oracle_generate_dataset(config)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"normal_uncongested": {"drop_rate": 1e30}},
+            {"attack_uncongested": {"delay_mu": 800}},
+            {"normal_congested": {"interval_mu": -800}, "congested_fraction": 0.5},
+            {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
+            # the Poisson sampler fails after the first block
+            {"attack_uncongested": {"drop_rate": 1e30}},
+        ],
+    )
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_invalid_draws_match_the_scalar_loop(self, monkeypatch, overrides, block_rows):
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        config = scenario_from_dict(overrides)
+        message = generated(oracle_generate_dataset, config)
+        assert isinstance(message, str)
+        assert generated(generate_dataset, config) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        n_vehicles=st.sampled_from(VEHICLE_COUNTS),
+        record=st.integers(0, 20),
+        above=st.booleans(),
+    )
+    def test_a_congested_fraction_equal_to_a_drawn_uniform(self, seed, n_vehicles, record, above):
+        # with no attacks and no drops, a record draws two uniforms, a vehicle index and two normals
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.normal(size=n_vehicles)
+        for _ in range(record):
+            rng.random(), rng.random(), rng.integers(0, n_vehicles), rng.standard_normal(2)
+        uniform = rng.random()  # the congestion uniform of ``record``
+        config = scenario_from_dict({
+            "n_records": record + 1,
+            "n_vehicles": n_vehicles,
+            "attack_fraction": 0.0,
+            "congested_fraction": math.nextafter(uniform, 1.0) if above else uniform,
+            "seed": seed,
+            **{name: {"drop_rate": 0.0} for name in simulate._CELL_NAMES},
+        })
+        table = generate_dataset(config)
+        assert table == oracle_generate_dataset(config)
+        assert table.congested[record] == above
 
 
 class TestTrafficTable:
@@ -578,3 +740,14 @@ def test_read_peak_allocation_stays_near_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * table.nbytes
+
+
+def test_generate_peak_allocation_stays_near_the_table():
+    config = ScenarioConfig(n_records=100_000, seed=3)
+    tracemalloc.start()
+    try:
+        table = generate_dataset(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * table.nbytes
