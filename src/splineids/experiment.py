@@ -499,4 +499,9 @@ def load_model(path: str | Path) -> LogisticModel:
         raise ModelLoadError(f"corrupt model file {path}: {err}") from None
     if not math.isfinite(model.intercept) or not all(math.isfinite(c) for c in model.coefficients):
         raise ModelLoadError(f"corrupt model file {path}: non-finite coefficients")
+    dimension = 1 if model.basis_spec is None else model.basis_spec.dimension
+    if len(model.coefficients) != dimension:
+        raise ModelLoadError(
+            f"corrupt model file {path}: {len(model.coefficients)} coefficients for a basis of dimension {dimension}"
+        )
     return model

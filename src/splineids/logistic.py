@@ -210,13 +210,22 @@ def fit_logistic(dm: DesignMatrix, labels: Sequence[int]) -> LogisticModel:
 
 
 def predict_prob(model: LogisticModel, dm: DesignMatrix) -> np.ndarray:
-    """Per-row probability sigma(intercept + row . coefficients), kept inside (0, 1)."""
+    """Per-row probability sigma(intercept + row . coefficients), kept inside (0, 1).
+
+    A linear predictor that overflows to +-inf gives a clipped probability;
+    the first row whose predictor is NaN raises ``NumericalError``.
+    """
     if dm.n_cols != 1 + len(model.coefficients):
         raise ShapeError(
             f"design has {dm.n_cols} columns, model expects {1 + len(model.coefficients)}"
         )
     beta = np.concatenate([[model.intercept], model.coefficients])
-    p = _sigmoid(dm.matrix @ beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = dm.matrix @ beta
+    nan = np.isnan(eta)
+    if nan.any():
+        raise NumericalError(f"row {int(nan.argmax())}: linear predictor is not a number")
+    p = _sigmoid(eta)
     return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 

@@ -36,17 +36,17 @@ words, as numpy's ``Generator`` reads them:
 
 The CSV reader and writer go ``_BLOCK_ROWS`` rows at a time, so neither holds
 the whole file as text. The order in which a CSV row's faults are checked
-lives in one per-row rule, ``_row_fault``: the reader converts a clean block
-a column at a time and re-checks a faulty one row by row with that rule.
+lives in one per-row rule, ``_row_fault``.
 
 A plain row is a line that ends in a newline, has exactly six
 comma-separated fields, holds no quote, carriage return or NUL, and is no
 longer than ``csv.field_size_limit()``; ``csv.reader`` splits it exactly as
 ``line[:-1].split(",")`` does. The reader splits a block of plain rows with
-string operations and converts its columns with the same helper,
-``_table_of``, as the ``csv.reader`` path. From the first block that is not
-all plain rows, or that fails a check, every row goes through ``csv.reader``
-and ``_row_fault``, with unchanged messages.
+string operations and converts its columns with ``_table_of``. From the
+first block that is not all plain rows, or that fails a check, every row
+goes through ``csv.reader`` and is checked by ``_row_fault`` as it is read;
+the first faulty row raises, and each ``_BLOCK_ROWS`` rows that pass are
+converted with ``_table_of``.
 """
 
 import csv
@@ -432,26 +432,6 @@ def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable | None:
     return None
 
 
-def _parse_block(rows: list[list[str]], lines: list[int]) -> TrafficTable:
-    """The table of the csv ``rows``, which start at file lines ``lines``; blank rows are skipped.
-
-    The block is converted a column at a time. If that fails anywhere, the
-    block is checked row by row with ``_row_fault``, and the first faulty row
-    raises ParseError with its line and its fault.
-    """
-    if not all(rows):
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
-    table = _table_of(zip(*rows, strict=True) if rows else ((),) * 6)
-    if table is not None:
-        return table
-    for line, row in zip(lines, rows):
-        fault = _row_fault(row)
-        if fault is not None:
-            raise ParseError(f"line {line}: {fault}")
-    raise AssertionError("a block failed its column conversion, but no row fails _row_fault")
-
-
 def _plain_block(lines: list[str]) -> TrafficTable | None:
     """The table of ``lines`` if each is a plain row (see the module docstring), or None.
 
@@ -473,7 +453,7 @@ def _plain_block(lines: list[str]) -> TrafficTable | None:
 
 def read_csv(path: str | Path) -> TrafficTable:
     """Read a table written by :func:`write_csv`; errors carry the file line number."""
-    tables, block, starts, line = [], [], [], 2
+    tables, rows, line = [], [], 2
     # undecodable bytes fail the field checks, which name their line
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -482,21 +462,21 @@ def read_csv(path: str | Path) -> TrafficTable:
         while (lines := list(islice(fh, _BLOCK_ROWS))) and (table := _plain_block(lines)) is not None:
             tables.append(table)
             line += len(lines)
-        # from the first block that is not plain, or fails a check, to the end of the file;
-        # a row is numbered by the file line it starts on, as a quoted field may hold newlines
+        # from the first block that is not plain, or fails a check, to the end of the file, each
+        # row is checked as it is read; a row is numbered by the file line it starts on, as a
+        # quoted field may hold newlines
         reader, first = csv.reader(chain(lines, fh)), line
-        try:
-            for row in reader:
-                block.append(row)
-                starts.append(line)
-                line = first + reader.line_num
-                if len(block) == _BLOCK_ROWS:
-                    tables.append(_parse_block(block, starts))
-                    block, starts = [], []
-        except csv.Error:
-            _parse_block(block, starts)  # a faulty row before the unreadable one is reported first
-            raise
-    tables.append(_parse_block(block, starts))
+        for row in reader:
+            if row:
+                fault = _row_fault(row)
+                if fault is not None:
+                    raise ParseError(f"line {line}: {fault}")
+                rows.append(row)
+                if len(rows) == _BLOCK_ROWS:
+                    tables.append(_table_of(zip(*rows)))
+                    rows = []
+            line = first + reader.line_num
+    tables.append(_table_of(zip(*rows) if rows else ((),) * 6))
     return _concat(tables)
 
 

@@ -351,8 +351,9 @@ def test_corrupt_model_basis_is_2(trained, tmp_path, basis):
         lambda doc: doc.update(iterations=math.inf),
         lambda doc: doc["basis"].update(degree=math.inf),
         lambda doc: doc["basis"].update(domain=[1.0]),
+        lambda doc: doc["coefficients"].pop(),
     ],
-    ids=["iterations_1e400", "degree_1e400", "domain_one_edge"],
+    ids=["iterations_1e400", "degree_1e400", "domain_one_edge", "one_coefficient_short"],
 )
 def test_unloadable_model_field_is_2(trained, tmp_path, edit):
     data, model = trained
@@ -416,6 +417,40 @@ def test_delays_near_the_largest_float_are_3(tmp_path):
     assert code == 3, err
     assert_one_error_line(err)
     assert err.startswith("splineids: numerical failure:")
+
+
+def linear_model_with(trained, tmp_path, intercept, coefficients):
+    """The traffic CSV of ``trained`` and a linear-spline model on it with edited coefficients."""
+    data, _ = trained
+    model = tmp_path / "linear.json"
+    assert main_in_process("train", "--data", data, "--model", "linear", "--save", model)[0] == 0
+    doc = json.loads(model.read_text())
+    assert len(doc["coefficients"]) == len(coefficients)
+    doc.update(intercept=intercept, coefficients=coefficients)
+    model.write_text(json.dumps(doc))
+    return data, model
+
+
+def test_nan_linear_predictor_is_3(trained, tmp_path):
+    # above a delay of about 1.8 ms the terms 1e308 * x and -1e308 * x overflow and cancel to NaN
+    data, model = linear_model_with(trained, tmp_path, 1e308, [1e308, -1e308, 0.0, 0.0])
+    code, out, err = main_in_process("evaluate", "--load", model, "--data", data)
+    assert code == 3, err
+    assert_one_error_line(err)
+    assert err.startswith("splineids: numerical failure: row ") and out == ""
+    assert err.endswith(": linear predictor is not a number\n")
+
+
+def test_overflowing_linear_predictor_scores_every_row_as_an_attack(trained, tmp_path):
+    data, model = linear_model_with(trained, tmp_path, 1e308, [1e308] * 4)
+    code, out, err = main_in_process("evaluate", "--load", model, "--data", data)
+    assert (code, err) == (0, "")
+    labels = read_csv(data).label
+    n, attacks = len(labels), int(labels.sum())
+    assert out == (
+        f"n: {n}\ntp: {attacks}\nfp: {n - attacks}\ntn: 0\nfn: 0\n"
+        f"accuracy: {100.0 * attacks / n:.2f}%\nclamped_points: 0\n"
+    )
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)

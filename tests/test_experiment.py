@@ -348,6 +348,19 @@ class TestModelPersistence:
         save_model(model, path)
         assert load_model(path) == model
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["one_too_few", "one_too_many"])
+    def test_coefficient_count_must_match_the_basis(self, tmp_path, change):
+        model, _ = self.fitted()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        dimension = model.basis_spec.dimension
+        doc["coefficients"] = [0.5] * (dimension + change)
+        path.write_text(json.dumps(doc))
+        message = f"corrupt model file .*: {dimension + change} coefficients for a basis of dimension {dimension}$"
+        with pytest.raises(ModelLoadError, match=message):
+            load_model(path)
+
     def test_truncated_file(self, tmp_path):
         model, _ = self.fitted()
         path = tmp_path / "model.json"

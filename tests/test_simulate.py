@@ -188,11 +188,11 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "table.csv"
         write_csv(table, path)
         with mock.patch.object(simulate, "_BLOCK_ROWS", 3), mock.patch.object(
-            simulate, "_parse_block", wraps=simulate._parse_block
-        ) as parse_block:
+            simulate, "_row_fault", wraps=simulate._row_fault
+        ) as row_fault:
             result = read_csv(path)
-        # only the empty end of the file goes through csv.reader
-        assert [call.args[0] for call in parse_block.call_args_list] == [[]]
+        # no row of a written file leaves the plain path
+        assert row_fault.call_count == 0
         for name, dtype in simulate._COLUMNS:
             got, want = getattr(result, name), getattr(table, name)
             assert got.dtype == dtype
@@ -740,6 +740,20 @@ def test_read_peak_allocation_stays_near_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * table.nbytes
+
+
+def test_csv_reader_path_peak_allocation_stays_near_the_table(tmp_path):
+    # \r\n line ends keep every row off the plain path, so each one goes through csv.reader
+    path = tmp_path / "traffic.csv"
+    write_csv(generate_dataset(ScenarioConfig(n_records=100_000, seed=3)), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        table = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
 
 
 def test_generate_peak_allocation_stays_near_the_table():
