@@ -48,5 +48,5 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except SplineIdsError as err:  # one line, as the CLI reports it
+    except (SplineIdsError, OSError) as err:  # one line, as the CLI reports it
         sys.exit(f"{Path(__file__).name}: error: {' '.join(str(err).splitlines())}")

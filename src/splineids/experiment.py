@@ -137,10 +137,10 @@ class CurveBundle:
     def to_csv(self) -> str:
         lines = [f"# config_digest={self.config_digest}"]
         lines.append("delay_ms," + ",".join(m.value for m in self.probabilities))
-        cols = list(self.probabilities.values())
-        for i, delay in enumerate(self.delays):
-            row = [f"{delay:.17g}"] + [f"{col[i]:.17g}" for col in cols]
-            lines.append(",".join(row))
+        # one %-format per row over Python floats: "%.17g" % v is f"{v:.17g}"
+        row = ",".join(["%.17g"] * (1 + len(self.probabilities)))
+        columns = [self.delays.tolist(), *(p.tolist() for p in self.probabilities.values())]
+        lines.extend(row % values for values in zip(*columns))
         return "\n".join(lines) + "\n"
 
 

@@ -47,7 +47,7 @@ class DesignMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] < 1:
             raise ShapeError("design matrix must be 2-D with at least one row")
-        if not np.all(m[:, 0] == 1.0):
+        if not (m[:, 0] == 1.0).all():
             raise ShapeError("column 0 must be the intercept column of ones")
 
     @property
@@ -108,8 +108,9 @@ def build_design_matrix(spec: SplineBasisSpec | None, x: Sequence[float]) -> Des
         m[:, 1] = xs
     else:
         basis_matrix(spec, xs, out=m[:, 1:])
-    if not np.all(np.isfinite(m)):
-        i = int(np.argmin(np.all(np.isfinite(m), axis=1)))
+    finite = np.isfinite(m)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
         problem = "basis value overflows" if np.isfinite(xs[i]) else "predictor is not finite"
         raise NumericalError(f"row {i}: {problem} for x={xs[i]}")
     return DesignMatrix(m, spec)
@@ -125,7 +126,7 @@ def _sigmoid(eta: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 def _loglik_and_prob(y: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
     """Unclipped ``y.eta - sum(logaddexp(0, eta))`` and sigma(eta), sharing one exp."""
     e = np.exp(-np.abs(eta))
-    ll = float(y @ eta - np.sum(np.maximum(eta, 0.0) + np.log1p(e)))
+    ll = float(y @ eta - (np.maximum(eta, 0.0) + np.log1p(e)).sum())
     return ll, _sigmoid(eta, e)
 
 
@@ -155,7 +156,7 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
         weights = p * (1.0 - p)
         with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
             hessian = (x * weights[:, None]).T @ x
-        if not np.all(np.isfinite(hessian)):
+        if not np.isfinite(hessian).all():
             raise NumericalError("non-finite IRLS working quantities")
         delta = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
 
@@ -172,7 +173,9 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
 
         beta, p = beta_new, p_new
         history.append(ll_new)
-        if np.any(p <= SEPARATION_BAND) or np.any(p >= 1.0 - SEPARATION_BAND):
+        # an accepted p holds no NaN (a NaN log-likelihood fails ll_new >= ll),
+        # so its extremes decide the band test
+        if p.min() <= SEPARATION_BAND or p.max() >= 1.0 - SEPARATION_BAND:
             separated = True
             break
         if abs(ll_new - ll) < LOGLIK_TOL:
@@ -219,7 +222,7 @@ def predict_prob(model: LogisticModel, dm: DesignMatrix) -> np.ndarray:
         raise ShapeError(
             f"design has {dm.n_cols} columns, model expects {1 + len(model.coefficients)}"
         )
-    beta = np.concatenate([[model.intercept], model.coefficients])
+    beta = np.array((model.intercept, *model.coefficients))
     with np.errstate(over="ignore", invalid="ignore"):
         eta = dm.matrix @ beta
     nan = np.isnan(eta)

@@ -7,7 +7,10 @@ given interval. All evaluators treat the final breakpoint as included
 
 Regression bases are evaluated on whole arrays by ``basis_matrix``, a block
 of rows at a time; its entries match the scalar references (``bspline_blend``
-and Python's ``float ** int``) bit for bit.
+and Python's ``float ** int``) bit for bit. The kernels work on functions x
+points and write the matrix through its transpose: a basis has only 1-9
+functions, so a points-last layout gives each ufunc call one long inner loop
+rather than one short loop per point.
 """
 
 import bisect
@@ -418,10 +421,9 @@ def _truncated_power_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray
     # takes a multiply shortcut for small integer exponents that can differ
     # by one ulp
     d = spec.degree
-    knots = np.asarray(spec.interior_knots.values)
-    xc = x[:, None]
-    np.float_power(xc, np.arange(1, d + 1), out=out[:, :d])
-    np.float_power(np.maximum(xc - knots, 0.0), d, out=out[:, d:])
+    knots = np.asarray(spec.interior_knots.values)[:, None]
+    np.float_power(x, np.arange(1, d + 1)[:, None], out=out.T[:d])
+    np.float_power(np.maximum(x - knots, 0.0), d, out=out.T[d:])
 
 
 def _bspline_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray) -> None:
@@ -431,19 +433,19 @@ def _bspline_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray) -> Non
     # that sum, signed zeros included, since the two terms are never both -0.0
     basis = spec.bspline_basis()
     t = np.asarray(basis.extended_knots.values)
-    xc = x[:, None]
-    n = ((t[:-1] <= xc) & (xc < t[1:])).astype(float)
+    tc = t[:, None]
+    n = ((tc[:-1] <= x) & (x < tc[1:])).astype(float)
     for k in range(2, basis.order + 1):
         m = len(t) - k
         left_den = t[k - 1 : k - 1 + m] - t[:m]
         right_den = t[k : k + m] - t[1 : 1 + m]
-        left = (xc - t[:m]) / np.where(left_den == 0.0, 1.0, left_den) * n[:, :m]
-        right = (t[k : k + m] - xc) / np.where(right_den == 0.0, 1.0, right_den) * n[:, 1 : 1 + m]
-        left[:, left_den == 0.0] = 0.0
-        right[:, right_den == 0.0] = 0.0
+        left = (x - tc[:m]) / np.where(left_den == 0.0, 1.0, left_den)[:, None] * n[:m]
+        right = (tc[k : k + m] - x) / np.where(right_den == 0.0, 1.0, right_den)[:, None] * n[1 : 1 + m]
+        left[left_den == 0.0] = 0.0
+        right[right_den == 0.0] = 0.0
         left += right
         n = left
-    out[:] = n
+    out.T[:] = n
     # the exact right domain edge evaluates as the left limit
     edge = x == spec.domain[1]
     out[edge] = 0.0
@@ -455,8 +457,11 @@ def basis_matrix(spec: SplineBasisSpec, xs: Sequence[float], out: np.ndarray | N
 
     The kernel works on whole arrays, ``_BLOCK_ROWS`` rows at a time, and
     writes each block straight into ``out`` (allocated when None), so its
-    temporaries do not grow with len(xs). It matches the scalar references
-    bit for bit: truncated-power entries are Python's ``x**j`` and
+    temporaries do not grow with len(xs). The temporaries are functions x
+    points and each block is written through ``out``'s transpose, so numpy's
+    inner loops run along the block's points, not along a basis's 1-9
+    functions, which costs one loop per point. It matches the scalar
+    references bit for bit: truncated-power entries are Python's ``x**j`` and
     ``max(x - k, 0.0)**d``; B-spline rows are ``bspline_blend`` of every
     function, except that the exact right domain edge gives the unit last
     row (the left limit), so every row sums to 1. Entries that overflow are

@@ -7,6 +7,7 @@ from splineids import experiment
 from splineids.errors import ConfigError, DegenerateKnotsError, InsufficientDataError, ModelLoadError, SplitError
 from splineids.experiment import (
     ALL_MODELS,
+    CurveBundle,
     ExperimentConfig,
     ModelKind,
     basis_spec_for,
@@ -219,8 +220,30 @@ class TestCurves:
         for probs in bundle.probabilities.values():
             assert probs[0] < 0.5
 
+    def test_csv_matches_per_element_formatting_byte_for_byte(self):
+        special = [5e-324, 1e-15, 1.0 - 1e-15, 1.0 - 2.0**-53, 1e-5, 9.999999999999999e-5, 1e16, 1e17, 0.1]
+        delays = np.array([0.0, *special])
+        probabilities = {
+            ModelKind.LOGISTIC: np.array([*special, 0.5]),
+            ModelKind.BSPLINE: np.array([*reversed(special), 1.0]),
+        }
+        bundle = CurveBundle(delays, probabilities, "0123456789abcdef")
 
-SMALL = ExperimentConfig(scenario=ScenarioConfig(n_records=300, seed=7))
+        # the per-element f-string rendering that to_csv replaced, kept as the reference
+        want = ["# config_digest=0123456789abcdef", "delay_ms,logistic,bspline"]
+        cols = list(probabilities.values())
+        for i, delay in enumerate(delays):
+            want.append(",".join([f"{delay:.17g}"] + [f"{col[i]:.17g}" for col in cols]))
+        got = bundle.to_csv()
+        assert got == "\n".join(want) + "\n"
+        assert got.splitlines()[2:5] == [
+            "0,4.9406564584124654e-324,0.10000000000000001",
+            "4.9406564584124654e-324,1.0000000000000001e-15,1e+17",
+            "1.0000000000000001e-15,0.999999999999999,10000000000000000",
+        ]
+
+
+SMALL =ExperimentConfig(scenario=ScenarioConfig(n_records=300, seed=7))
 
 
 @pytest.fixture

@@ -1,14 +1,21 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from splineids import logistic
 from splineids.errors import EmptyDataError, NumericalError, OutOfDomainError, ShapeError
 from splineids.experiment import ALL_MODELS, ExperimentConfig, delays_and_labels, fit_models, split_train_test
 from splineids.logistic import (
+    LOGLIK_TOL,
+    MAX_ITERATIONS,
+    SEPARATION_BAND,
+    _MAX_HALVINGS,
     ConfusionMatrix,
+    IrlsTrace,
     LogisticModel,
     _sigmoid,
     accuracy,
@@ -194,6 +201,127 @@ class TestFitLogistic:
             eta = dm.matrix @ trace.beta
             exact = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
             assert trace.loglik == pytest.approx(exact, rel=1e-12, abs=0.0), kind
+
+
+# The earlier irls step, with the np.sum/np.all/np.any wrappers and the
+# elementwise band test, kept verbatim as the oracle for the leaner step.
+def _oracle_loglik_and_prob(y: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unclipped ``y.eta - sum(logaddexp(0, eta))`` and sigma(eta), sharing one exp."""
+    e = np.exp(-np.abs(eta))
+    ll = float(y @ eta - np.sum(np.maximum(eta, 0.0) + np.log1p(e)))
+    return ll, _sigmoid(eta, e)
+
+
+def _oracle_irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
+    """Run IRLS from beta = 0, returning the full iteration trace."""
+    x = np.asarray(matrix, dtype=float)
+    y = np.asarray(y, dtype=float)
+    beta = np.zeros(x.shape[1])
+    ll, p = _oracle_loglik_and_prob(y, x @ beta)
+    history = [ll]
+    converged = False
+    separated = False
+    iterations = 0
+
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        gradient = x.T @ (y - p)
+        weights = p * (1.0 - p)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+            hessian = (x * weights[:, None]).T @ x
+        if not np.all(np.isfinite(hessian)):
+            raise NumericalError("non-finite IRLS working quantities")
+        delta = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
+
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            beta_new = beta + step * delta
+            ll_new, p_new = _oracle_loglik_and_prob(y, x @ beta_new)
+            if ll_new >= ll:
+                break
+            step *= 0.5
+        else:
+            converged = True  # no ascent direction left: stationary
+            break
+
+        beta, p = beta_new, p_new
+        history.append(ll_new)
+        if np.any(p <= SEPARATION_BAND) or np.any(p >= 1.0 - SEPARATION_BAND):
+            separated = True
+            break
+        if abs(ll_new - ll) < LOGLIK_TOL:
+            converged = True
+            break
+        ll = ll_new
+
+    return IrlsTrace(beta, converged, iterations, separated, history[-1], history)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_irls_matches_the_oracle(matrix, y):
+    got, want = irls(matrix, y), _oracle_irls(matrix, y)
+    assert _bits(got.beta) == _bits(want.beta)
+    assert (got.iterations, got.converged, got.separated) == (want.iterations, want.converged, want.separated)
+    assert _bits(got.loglik_history) == _bits(want.loglik_history)  # loglik is its last entry
+    return want
+
+
+def _first_iterate_probabilities(matrix, y):
+    """The accepted probabilities after the oracle's first IRLS step."""
+    with mock.patch.dict(globals(), MAX_ITERATIONS=1):
+        beta = _oracle_irls(matrix, y).beta
+    return _sigmoid(matrix @ beta)
+
+
+class TestIrlsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        basis=st.sampled_from(["plain", "tp1", "tp2", "tp3", "bs1", "bs2", "bs3"]),
+        separable=st.booleans(),
+        band_edge=st.sampled_from([None, "low", "high"]),
+        n=st.integers(20, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_earlier_step_bit_for_bit(self, basis, separable, band_edge, n, seed):
+        rng = np.random.default_rng(seed)
+        x, y = logistic_sample(rng, n)
+        x[:2] = (0.0, 10.0)  # the B-spline domain's edges
+        if separable:
+            y = (x > rng.uniform(3.0, 7.0)).astype(int)
+        knots = (2.0, 5.0, 8.0)
+        spec = {
+            "plain": None,
+            **{f"tp{d}": tp_spec(d, knots) for d in (1, 2, 3)},
+            **{f"bs{d}": bs_spec(d, knots, (0.0, 10.0)) for d in (1, 2, 3)},
+        }[basis]
+        matrix, yf = build_design_matrix(spec, x).matrix, y.astype(float)
+
+        if band_edge is not None:
+            # a band whose edge is the smallest or the largest first-step probability
+            # (1 - (1 - p) == p exactly for p >= 0.5) stops both at iteration 1 only
+            # if the band test includes its edge
+            p1 = _first_iterate_probabilities(matrix, yf)
+            band = float(p1.min() if band_edge == "low" else 1.0 - p1.max())
+            assume(band < 0.5)
+            with mock.patch.object(logistic, "SEPARATION_BAND", band), mock.patch.dict(globals(), SEPARATION_BAND=band):
+                want = assert_irls_matches_the_oracle(matrix, yf)
+            assert want.separated and want.iterations == 1
+        else:
+            assert_irls_matches_the_oracle(matrix, yf)
+
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    def test_default_scenario_fits_match_the_earlier_step(self, seed):
+        config = ExperimentConfig()
+        train, _ = split_train_test(
+            generate_dataset(ScenarioConfig(n_records=600, seed=seed)), config.split_ratio, config.split_seed
+        )
+        x, y = delays_and_labels(train)
+        fitted = fit_models(config, x, y)
+        for kind in ALL_MODELS:
+            matrix = build_design_matrix(fitted.models[kind].basis_spec, x).matrix
+            assert_irls_matches_the_oracle(matrix, y.astype(float))
 
 
 class TestPredictProb:

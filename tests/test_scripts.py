@@ -55,3 +55,13 @@ def test_package_error_ends_in_one_line(tmp_path):
         result = run(SCRIPTS / script, *args)
         assert result.returncode == 1, result.stderr
         assert result.stderr == f"{script}: error: need at least 2 records to split\n"
+
+
+def test_unusable_outdir_ends_in_one_line(tmp_path):
+    existing_file = tmp_path / "taken"
+    existing_file.write_text("")
+    for outdir in (existing_file, existing_file / "results"):
+        result = run(SCRIPTS / "reproduce_comparison.py", "--n", "200", "--outdir", outdir)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("reproduce_comparison.py: error: ") and result.stderr.count("\n") == 1
+        assert str(existing_file) in result.stderr and "Traceback" not in result.stderr
