@@ -34,28 +34,33 @@ words, as numpy's ``Generator`` reads them:
 - the normals and Poisson drops are numpy's scalar ``standard_normal`` and
   ``poisson``, called on the same generator.
 
-The CSV reader and writer go ``_BLOCK_ROWS`` rows at a time, so neither holds
-the whole file as text. The order in which a CSV row's faults are checked
-lives in one per-row rule, ``_row_fault``.
+The CSV writer goes ``_BLOCK_ROWS`` rows at a time and the reader
+``_BLOCK_CHARS`` characters at a time, each block ended at the next line end,
+so neither holds the whole file as text. The order in which a CSV row's
+faults are checked lives in one per-row rule, ``_row_fault``.
 
 A plain row is a line that ends in a newline, has exactly six
-comma-separated fields, holds no quote, carriage return or NUL, and is no
-longer than ``csv.field_size_limit()``; ``csv.reader`` splits it exactly as
-``line[:-1].split(",")`` does. The reader splits a block of plain rows with
-string operations and converts its columns with ``_table_of``. From the
-first block that is not all plain rows, or that fails a check, every row
-goes through ``csv.reader`` and is checked by ``_row_fault`` as it is read;
-the first faulty row raises, and each ``_BLOCK_ROWS`` rows that pass are
-converted with ``_table_of``.
+comma-separated fields, holds no quote, carriage return or NUL, and has no
+field longer than ``csv.field_size_limit()``; ``csv.reader`` splits it
+exactly as ``line[:-1].split(",")`` does. The reader splits a block of text
+with string operations and, when every line is a plain row, converts its
+columns: the reals with ``float``, the drop count with ``int``, and the
+(congested, attack_type, label) fields with one lookup among the ten triples
+that ``write_csv`` writes. From the first block that is not all plain rows,
+holds a triple that ``write_csv`` does not write (a label spelt ``01``, say),
+or fails a check, every row goes through ``csv.reader`` and is checked by
+``_row_fault`` as it is read; the first faulty row raises, and each
+``_BLOCK_ROWS`` rows that pass are converted with ``_table_of``.
 """
 
 import csv
+import io
 import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -280,7 +285,10 @@ class ScenarioConfig:
         object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
 
 
-_BLOCK_ROWS = 4096  # records drawn, or CSV rows read or written, at a time
+_BLOCK_ROWS = 4096  # records drawn or written, or csv.reader rows converted, at a time
+# characters read at a time, each block ended at the next line end; under csv's default field size
+# limit (131072), so a block of ordinary rows needs no field length check
+_BLOCK_CHARS = 1 << 16
 
 
 def _concat(tables: Sequence[TrafficTable]) -> TrafficTable:
@@ -361,18 +369,17 @@ def write_csv(table: TrafficTable, path: str | Path) -> None:
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
             tails = block.congested * len(AttackType) + block.attack_code
-            fh.write("".join(
-                f"{delay:.17g},{drops},{interval:.17g},{_ROW_TAILS[tail]}"
-                for delay, drops, interval, tail in zip(
-                    block.packet_delay_ms.tolist(),
-                    block.packets_dropped.tolist(),
-                    block.transfer_interval_ms.tolist(),
-                    tails.tolist(),
-                )
-            ))
+            fh.write("".join(map("%.17g,%d,%.17g,%s".__mod__, zip(
+                block.packet_delay_ms.tolist(),
+                block.packets_dropped.tolist(),
+                block.transfer_interval_ms.tolist(),
+                map(_ROW_TAILS.__getitem__, tails.tolist()),
+            ))))
 
 
 _TYPE_CODES = {t.value: code for t, code in _ATTACK_CODES.items()}
+# the _ROW_TAILS index of each (congested, attack_type, label) that write_csv writes
+_TAIL_INDEX = {tuple(tail[:-1].split(",")): i for i, tail in enumerate(_ROW_TAILS)}
 _FLAGS = {"0": False, "1": True}
 
 
@@ -432,23 +439,37 @@ def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable | None:
     return None
 
 
-def _plain_block(lines: list[str]) -> TrafficTable | None:
-    """The table of ``lines`` if each is a plain row (see the module docstring), or None.
+def _plain_block(text: str) -> TrafficTable | None:
+    """The table of ``text`` if it is whole plain rows (see the module docstring), or None.
 
-    None also when a field fails a conversion or a check, so that the
-    ``csv.reader`` path reports it.
+    None also when a field fails a conversion or a check, or a row's tail is
+    not one that ``write_csv`` writes, so that the ``csv.reader`` path reads
+    it.
     """
-    text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+    if not text.endswith("\n") or '"' in text or "\r" in text or "\0" in text:
         return None
-    n = len(lines)
+    n = text.count("\n")
     # each newline becomes a field of its own, so the newline of line k must be field 7k + 6
     fields = text.replace("\n", ",\n,").split(",")
     if len(fields) != 7 * n + 1 or fields[6::7].count("\n") != n:
         return None
-    columns = [fields[i : 7 * n : 7] for i in range(6)]
-    del text, fields  # free the block's text before the conversions allocate
-    return _table_of(columns)
+    limit = csv.field_size_limit()  # only a text longer than the limit can hold a longer field
+    if len(text) > limit and max(map(len, fields)) > limit:
+        return None
+    delay_s, drops_s, interval_s, *tail_s = (fields[i : 7 * n : 7] for i in range(6))
+    del fields  # free the block's fields before the conversions allocate
+    try:
+        tails = np.fromiter(map(_TAIL_INDEX.__getitem__, zip(*tail_s)), np.int8, n)
+        congested, codes = np.divmod(tails, len(AttackType))
+        return TrafficTable(
+            np.fromiter(map(float, delay_s), np.float64, n),
+            np.fromiter(map(int, drops_s), np.int64, n),
+            np.fromiter(map(float, interval_s), np.float64, n),
+            congested,
+            codes,
+        )
+    except (KeyError, ValueError, OverflowError):
+        return None
 
 
 def read_csv(path: str | Path) -> TrafficTable:
@@ -459,13 +480,17 @@ def read_csv(path: str | Path) -> TrafficTable:
         header = next(csv.reader(fh), None)
         if header is None or ",".join(header) != CSV_HEADER:
             raise ParseError(f"line 1: expected header '{CSV_HEADER}'")
-        while (lines := list(islice(fh, _BLOCK_ROWS))) and (table := _plain_block(lines)) is not None:
+        while text := fh.read(_BLOCK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()  # end the block at a line end
+            if (table := _plain_block(text)) is None:
+                break
             tables.append(table)
-            line += len(lines)
+            line += len(table)
         # from the first block that is not plain, or fails a check, to the end of the file, each
         # row is checked as it is read; a row is numbered by the file line it starts on, as a
         # quoted field may hold newlines
-        reader, first = csv.reader(chain(lines, fh)), line
+        reader, first = csv.reader(chain(io.StringIO(text, newline=""), fh)), line
         for row in reader:
             if row:
                 fault = _row_fault(row)

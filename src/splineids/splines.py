@@ -176,8 +176,9 @@ def quantile_knots(sample: Sequence[float], probs: Sequence[float]) -> KnotVecto
         raise ValueError("probs must be strictly increasing")
     if len(sample) == 0:
         raise EmptySampleError("quantile of an empty sample")
-    # a stable sort orders ties (0.0, -0.0) as sorted() does in quantile()
-    s = np.sort(np.asarray(sample, dtype=float), kind="stable").tolist()
+    # a stable sort orders ties (0.0, -0.0) as sorted() does in quantile(); the memoryview hands
+    # out only the order statistics a knot reads, each as a Python float
+    s = memoryview(np.sort(np.asarray(sample, dtype=float), kind="stable"))
     knots = [_sorted_quantile(s, p) for p in probs]
     if any(b <= a for a, b in zip(knots, knots[1:])):
         raise DegenerateKnotsError(

@@ -187,7 +187,7 @@ class TestCsvRoundTrip:
         table = TrafficTable(*columns)
         path = tmp_path_factory.mktemp("rt") / "table.csv"
         write_csv(table, path)
-        with mock.patch.object(simulate, "_BLOCK_ROWS", 3), mock.patch.object(
+        with mock.patch.object(simulate, "_BLOCK_CHARS", 150), mock.patch.object(
             simulate, "_row_fault", wraps=simulate._row_fault
         ) as row_fault:
             result = read_csv(path)
@@ -612,7 +612,10 @@ def csv_text(edits=(), end="\n"):
     return CSV_HEADER + "\n" + "".join(lines)
 
 
-# CSVs in which some line is not a plain row, or a plain block holds a fault; read 4 rows to a block
+# a block of 80 characters holds four of PLAIN_ROWS, ended at the next line end
+FOUR_ROWS = 80
+
+# CSVs in which some line is not a plain row, or a plain block holds a fault; read FOUR_ROWS to a block
 QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6, two blocks
 OFF_PLAIN_PATH = {
     "crlf": csv_text(end="\r\n"),
@@ -652,14 +655,16 @@ class TestReaderParity:
                 rows[at].append(args[0])
         path = tmp_path_factory.mktemp("parity") / "data.csv"
         write_rows(path, rows)
-        with mock.patch.object(simulate, "_BLOCK_ROWS", 3):
-            assert outcome(read_csv, path) == outcome(oracle_read_csv, path)
+        expected = outcome(oracle_read_csv, path)
+        for block_chars in range(1, 81):
+            with mock.patch.object(simulate, "_BLOCK_CHARS", block_chars):
+                assert outcome(read_csv, path) == expected, block_chars
 
     @pytest.mark.parametrize("blank", [None, 2, 3, 4])
     @pytest.mark.parametrize("bad", [2, 3, 4, 5, 9])
     @pytest.mark.parametrize("fault", [("0", "-1.0"), ("4", "worm"), ("1", "x")], ids=["value", "token", "convert"])
     def test_fault_beside_a_block_boundary(self, tmp_path, monkeypatch, blank, bad, fault):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
         rows = [list(VALID_ROW) for _ in range(12)]
         rows[bad][int(fault[0])] = fault[1]
         rows[bad + 2][0] = "-5"  # a later fault, maybe in the next block, must not win
@@ -673,7 +678,7 @@ class TestReaderParity:
 
     @pytest.mark.parametrize("text", OFF_PLAIN_PATH.values(), ids=OFF_PLAIN_PATH.keys())
     def test_rows_off_the_plain_path(self, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
 
@@ -685,10 +690,10 @@ class TestReaderParity:
 
         assert result(read_csv) == result(oracle_read_csv)
 
-    @pytest.mark.parametrize("block_rows", [4, 4096])
-    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_rows):
+    @pytest.mark.parametrize("block_chars", [FOUR_ROWS, simulate._BLOCK_CHARS], ids=["four_rows", "default"])
+    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_chars):
         # the attack label of row 3 spans file lines 5 and 6, so the faulty row 9 is on file line 12
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(simulate, "_BLOCK_CHARS", block_chars)
         path = tmp_path / "data.csv"
         path.write_bytes(OFF_PLAIN_PATH["quoted_newline_then_fault"].encode())
         for reader in (read_csv, oracle_read_csv):
@@ -697,7 +702,7 @@ class TestReaderParity:
 
     @pytest.mark.parametrize("blanks", [(), (3,), (3, 4), (0, 7)])
     def test_blank_lines_beside_a_block_boundary(self, tmp_path, monkeypatch, blanks):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
         rows = [list(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(9)]
         for at in blanks:
             rows.insert(at, None)
@@ -707,7 +712,7 @@ class TestReaderParity:
         assert len(read_csv(path)) == 9
 
     def test_fault_before_an_unreadable_row_is_reported_first(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
         rows = [list(VALID_ROW) for _ in range(6)]
         rows[5][0] = "-1"
         rows.append(["1", "0" * 140_000, "1", "0", "none", "0"])  # past the csv field size limit
@@ -719,6 +724,29 @@ class TestReaderParity:
         write_rows(path, rows)
         with pytest.raises(csv.Error):
             read_csv(path)
+
+    @pytest.mark.parametrize("block_chars", [FOUR_ROWS, simulate._BLOCK_CHARS], ids=["four_rows", "default"])
+    @pytest.mark.parametrize("field, spelling", [(5, " 1"), (5, "01"), (5, "+1"), (1, "+2")])
+    def test_valid_spellings_a_writer_never_writes(self, tmp_path, monkeypatch, block_chars, field, spelling):
+        # int() reads each spelling; a label spelt so misses the tail lookup and leaves the plain path
+        monkeypatch.setattr(simulate, "_BLOCK_CHARS", block_chars)
+        rows = [list(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(12)]
+        rows[9][field] = spelling
+        path = tmp_path / "data.csv"
+        write_rows(path, rows)
+        expected = outcome(oracle_read_csv, path)
+        assert isinstance(expected, tuple) and len(expected[0]) == 12
+        assert outcome(read_csv, path) == expected
+
+    def test_tail_lookup_holds_exactly_the_tails_the_writer_writes(self, tmp_path):
+        flags, codes = zip(*((c, code) for c in (False, True) for code in range(len(AttackType))))
+        table = TrafficTable([1.0] * 10, [0] * 10, [1.0] * 10, flags, codes)
+        path = tmp_path / "tails.csv"
+        write_csv(table, path)
+        with open(path, newline="") as fh:
+            tails = [tuple(row[3:]) for row in list(csv.reader(fh))[1:]]
+        assert set(simulate._TAIL_INDEX) == set(tails)
+        assert [simulate._TAIL_INDEX[t] for t in tails] == [len(AttackType) * c + code for c, code in zip(flags, codes)]
 
     def test_drop_count_outside_int64_names_its_line(self, tmp_path):
         # the per-row reader accepted any Python int here
