@@ -29,17 +29,19 @@ def main():
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     config = ExperimentConfig(
         scenario=ScenarioConfig(n_records=args.n, seed=args.seed),
         split_seed=args.split_seed,
     )
+    # everything that can reject an option runs before the output directory is made
     report = run_experiment(config)
+    curves = emit_curves(config, args.grid)
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     text = emit_report(report, "text", outdir / "report.txt")
     emit_report(report, "csv", outdir / "report.csv")
-    write_curves_csv(emit_curves(config, args.grid), outdir / "curves.csv")
+    write_curves_csv(curves, outdir / "curves.csv")
 
     print(text, end="")
     print(f"\nwrote {outdir}/report.txt, {outdir}/report.csv, {outdir}/curves.csv")

@@ -296,17 +296,17 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
     return report, fitted
 
 
-# the fit of the last run_experiment call on a scenario config, until emit_curves takes it; a
-# scenario fixes its data through the seeded stream, while a CSV may change between two calls
-_last_fit: tuple[ExperimentConfig, FittedModels] | None = None
+# the report and fit of the last run_experiment call on a scenario config, until emit_curves takes
+# them; a scenario fixes its data through the seeded stream, while a CSV may change between two calls
+_last_fit: tuple[ExperimentConfig, tuple[ExperimentReport, FittedModels]] | None = None
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the comparison: load/generate, split, fit each model, score the test set."""
     global _last_fit
-    report, fitted = _run(config)
-    _last_fit = (config, fitted) if config.data_csv is None else None
-    return report
+    run = _run(config)
+    _last_fit = (config, run) if config.data_csv is None else None
+    return run[0]
 
 
 def render_report(report: ExperimentReport, fmt: str = "text") -> str:
@@ -396,13 +396,13 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     if not 2 <= grid_points <= MAX_COUNT:
         raise ConfigError(f"grid_points must be in [2, {MAX_COUNT}], got {grid_points}")
     last, _last_fit = _last_fit, None
-    fitted = last[1] if last is not None and last[0] == config else _run(config)[1]
+    report, fitted = last[1] if last is not None and last[0] == config else _run(config)
     delays = np.linspace(*fitted.domain, grid_points)
     probabilities = {}
     for kind, model in fitted.models.items():
         dm = build_design_matrix(model.basis_spec, delays)
         probabilities[kind] = predict_prob(model, dm)
-    return CurveBundle(delays, probabilities, config_digest(config))
+    return CurveBundle(delays, probabilities, report.config_digest)
 
 
 def write_curves_csv(bundle: CurveBundle, path: str | Path) -> None:

@@ -2,7 +2,9 @@
 
 A design matrix is allocated once and its basis columns are filled by
 ``splines.basis_matrix``, block by block, so building one costs little
-more memory than the matrix itself.
+more memory than the matrix itself. ``build_design_matrix`` writes the
+intercept column itself and checks the entries for non-finite values, so
+the ``DesignMatrix`` it returns skips the constructor's column checks.
 
 The fitter is iteratively reweighted least squares (Newton on the logit
 link) with step halving, so the log-likelihood never decreases across
@@ -49,6 +51,15 @@ class DesignMatrix:
             raise ShapeError("design matrix must be 2-D with at least one row")
         if not (m[:, 0] == 1.0).all():
             raise ShapeError("column 0 must be the intercept column of ones")
+
+    @classmethod
+    def _of_built(cls, matrix: np.ndarray, spec: SplineBasisSpec | None) -> "DesignMatrix":
+        """The design of a float matrix that ``build_design_matrix`` filled, without the checks."""
+        matrix.setflags(write=False)
+        dm = object.__new__(cls)
+        object.__setattr__(dm, "matrix", matrix)
+        object.__setattr__(dm, "basis_spec", spec)
+        return dm
 
     @property
     def n_rows(self) -> int:
@@ -113,7 +124,7 @@ def build_design_matrix(spec: SplineBasisSpec | None, x: Sequence[float]) -> Des
         i = int(np.argmin(finite.all(axis=1)))
         problem = "basis value overflows" if np.isfinite(xs[i]) else "predictor is not finite"
         raise NumericalError(f"row {i}: {problem} for x={xs[i]}")
-    return DesignMatrix(m, spec)
+    return DesignMatrix._of_built(m, spec)
 
 
 def _sigmoid(eta: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -145,6 +156,8 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     beta = np.zeros(x.shape[1])
+    # lstsq's default cutoff for a square system of this size, worked out once per fit
+    rcond = np.finfo(float).eps * x.shape[1]
     ll, p = _loglik_and_prob(y, x @ beta)
     history = [ll]
     converged = False
@@ -158,7 +171,7 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
             hessian = (x * weights[:, None]).T @ x
         if not np.isfinite(hessian).all():
             raise NumericalError("non-finite IRLS working quantities")
-        delta = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
+        delta = np.linalg.lstsq(hessian, gradient, rcond=rcond)[0]
 
         step = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -229,7 +242,7 @@ def predict_prob(model: LogisticModel, dm: DesignMatrix) -> np.ndarray:
     if nan.any():
         raise NumericalError(f"row {int(nan.argmax())}: linear predictor is not a number")
     p = _sigmoid(eta)
-    return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP, out=p)
 
 
 def classify(probs: Sequence[float], threshold: float = 0.5) -> np.ndarray:
@@ -240,18 +253,17 @@ def classify(probs: Sequence[float], threshold: float = 0.5) -> np.ndarray:
 
 
 def confusion_matrix(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatrix:
+    """Counts over every element of two equal-shape arrays of 0/1 labels."""
     pred = np.asarray(predicted, dtype=int)
     act = np.asarray(actual, dtype=int)
     if pred.shape != act.shape:
         raise ShapeError(f"predicted {pred.shape} and actual {act.shape} differ")
-    if not (np.all((pred == 0) | (pred == 1)) and np.all((act == 0) | (act == 1))):
+    # only 0 and 1 have no bit set but bit 0 (a negative int sets its high bits)
+    if np.any((pred | act) & ~1):
         raise ValueError("labels must be 0 or 1")
-    return ConfusionMatrix(
-        tp=int(np.sum((pred == 1) & (act == 1))),
-        fp=int(np.sum((pred == 1) & (act == 0))),
-        tn=int(np.sum((pred == 0) & (act == 0))),
-        fn=int(np.sum((pred == 0) & (act == 1))),
-    )
+    # cell 2 * predicted + actual: 0 tn, 1 fn, 2 fp, 3 tp
+    tn, fn, fp, tp = np.bincount((2 * pred + act).ravel(), minlength=4).tolist()
+    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

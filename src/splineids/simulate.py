@@ -10,9 +10,11 @@ models (see README).
 Records travel as a :class:`TrafficTable`: one numpy column per field (packet
 delay and transfer interval float64, packet drops int64, the congestion flag
 bool, the attack type an int8 code into ``AttackType``), with the label
-derived from the attack code. The table checks all its columns at once when
-it is built, against the value rule ``_value_fault``; iterating it yields
-:class:`TrafficRecord` rows.
+derived from the attack code. The value rule ``_value_fault`` runs where
+values enter the program: building a table (directly, from records, from a
+generated block or from a CSV block) checks all its columns at once, while
+rows taken from checked tables, by indexing or concatenation, are not checked
+again. Iterating a table yields :class:`TrafficRecord` rows.
 
 Randomness: a single PCG64 generator seeded from ``ScenarioConfig.seed``.
 Draw order is fixed: first ``n_vehicles`` per-vehicle delay-jitter normals,
@@ -144,9 +146,12 @@ class TrafficTable:
     """Traffic records as read-only numpy columns; row ``i`` of each is record ``i``.
 
     Each column is converted to its dtype in ``_COLUMNS``; ``attack_code``
-    indexes ``AttackType`` (0 is ``NONE``). Every row is checked at once
-    against the value rule, ``_value_fault``; the first row that breaks it
-    raises :class:`RowError` with that rule's message.
+    indexes ``AttackType`` (0 is ``NONE``). The value rule, ``_value_fault``,
+    runs where values enter the program: building a table checks every row
+    at once, and the first row that breaks the rule raises
+    :class:`RowError` with that rule's message. Rows taken from checked
+    tables (``table[rows]`` and ``_concat``) are not checked again; they
+    keep the read-only columns and the 1-D shape check.
     """
 
     packet_delay_ms: np.ndarray
@@ -156,6 +161,16 @@ class TrafficTable:
     attack_code: np.ndarray
 
     def __post_init__(self):
+        self._freeze()
+        delay, drops, interval, _, code = self._columns()
+        good = (delay > 0) & (delay < math.inf) & (interval > 0) & (interval < math.inf)
+        good &= (drops >= 0) & (code >= 0) & (code < len(AttackType))
+        if not good.all():
+            row = int(good.argmin())
+            raise RowError(row, _value_fault(*(column[row].item() for column in (delay, drops, interval, code))))
+
+    def _freeze(self) -> None:
+        """Convert the columns to read-only arrays of their dtypes, which must be 1-D and of one length."""
         for name, dtype in _COLUMNS:
             column = np.asarray(getattr(self, name), dtype=dtype).view()
             column.flags.writeable = False
@@ -163,12 +178,15 @@ class TrafficTable:
         shapes = {column.shape for column in self._columns()}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
-        delay, drops, interval, _, code = self._columns()
-        good = (delay > 0) & (delay < math.inf) & (interval > 0) & (interval < math.inf)
-        good &= (drops >= 0) & (code >= 0) & (code < len(AttackType))
-        if not good.all():
-            row = int(good.argmin())
-            raise RowError(row, _value_fault(*(column[row].item() for column in (delay, drops, interval, code))))
+
+    @classmethod
+    def _of_checked(cls, columns: Iterable[np.ndarray]) -> "TrafficTable":
+        """The table of columns taken from checked tables, without running the value rule again."""
+        table = object.__new__(cls)
+        for (name, _), column in zip(_COLUMNS, columns):
+            object.__setattr__(table, name, column)
+        table._freeze()
+        return table
 
     @classmethod
     def from_records(cls, records: Iterable[TrafficRecord]) -> "TrafficTable":
@@ -202,7 +220,7 @@ class TrafficTable:
 
     def __getitem__(self, rows) -> "TrafficTable":
         """The table of ``rows``: a slice, an array of row indices or a boolean mask."""
-        return TrafficTable(*(column[rows] for column in self._columns()))
+        return TrafficTable._of_checked(column[rows] for column in self._columns())
 
     def __iter__(self) -> Iterator[TrafficRecord]:
         types = tuple(AttackType)
@@ -292,7 +310,9 @@ _BLOCK_CHARS = 1 << 16
 
 
 def _concat(tables: Sequence[TrafficTable]) -> TrafficTable:
-    return TrafficTable(*(np.concatenate(column) for column in zip(*(t._columns() for t in tables))))
+    if len(tables) == 1:
+        return tables[0]
+    return TrafficTable._of_checked(np.concatenate(column) for column in zip(*(t._columns() for t in tables)))
 
 
 def generate_dataset(config: ScenarioConfig) -> TrafficTable:
@@ -415,28 +435,21 @@ def _row_fault(row: list[str]) -> str | None:
     return None
 
 
-def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable | None:
-    """The table of six string columns in CSV order, or None if a field fails a conversion or a check.
+def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable:
+    """The table of six string columns in CSV order, taken from rows that ``_row_fault`` accepted.
 
-    The checks are the table's value rule and then the label, which must be
-    1 exactly when the record is an attack.
+    Those rows hold only fields that convert, and labels that agree with
+    their attack types, so the label column is not read.
     """
-    try:
-        delay_s, drops_s, interval_s, flag_s, type_s, label_s = columns
-        n = len(delay_s)
-        codes = np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n)
-        table = TrafficTable(
-            np.fromiter(map(float, delay_s), np.float64, n),
-            np.fromiter(map(int, drops_s), np.int64, n),
-            np.fromiter(map(float, interval_s), np.float64, n),
-            np.fromiter(map(_FLAGS.__getitem__, flag_s), np.bool_, n),
-            codes,
-        )
-        if np.array_equal(np.fromiter(map(int, label_s), np.int64, n), codes != 0):
-            return table
-    except (KeyError, ValueError, OverflowError):
-        pass
-    return None
+    delay_s, drops_s, interval_s, flag_s, type_s, _ = columns
+    n = len(delay_s)
+    return TrafficTable(
+        np.fromiter(map(float, delay_s), np.float64, n),
+        np.fromiter(map(int, drops_s), np.int64, n),
+        np.fromiter(map(float, interval_s), np.float64, n),
+        np.fromiter(map(_FLAGS.__getitem__, flag_s), np.bool_, n),
+        np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n),
+    )
 
 
 def _plain_block(text: str) -> TrafficTable | None:

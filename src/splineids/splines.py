@@ -17,6 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -412,6 +413,38 @@ class SplineBasisSpec:
             raise ValueError("only B-spline specs expand to a blending basis")
         return BSplineBasis.clamped(self.degree + 1, self.interior_knots.values, self.domain)
 
+    @cached_property
+    def kernel_constants(self) -> tuple:
+        """The basis kernel's per-spec arrays, read-only, computed on first use.
+
+        Truncated powers: the exponent column (1, ..., d) and the knot
+        column. B-splines: the extended-knot column and, for each order
+        k = 2, ..., degree + 1, a level of four arrays: the left and the
+        right denominators, each with 0 replaced by 1 and followed by the
+        mask of the functions whose denominator is 0. The instance keeps
+        them outside its dataclass fields, so ``==``, ``hash`` and the
+        fields are unchanged.
+        """
+        if self.kind is BasisKind.TRUNCATED_POWER:
+            return _read_only(np.arange(1, self.degree + 1)[:, None]), _read_only(
+                np.asarray(self.interior_knots.values)[:, None]
+            )
+        t = np.asarray(self.bspline_basis().extended_knots.values)
+        levels = []
+        for k in range(2, self.degree + 2):
+            m = len(t) - k
+            level = ()
+            for den in (t[k - 1 : k - 1 + m] - t[:m], t[k : k + m] - t[1 : 1 + m]):
+                zero = den == 0.0
+                level += (_read_only(np.where(zero, 1.0, den)[:, None]), _read_only(zero))
+            levels.append(level)
+        return _read_only(t[:, None]), tuple(levels)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 # rows per kernel pass: the temporaries stay small next to a 100k-row matrix
 _BLOCK_ROWS = 2048
@@ -422,8 +455,8 @@ def _truncated_power_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray
     # takes a multiply shortcut for small integer exponents that can differ
     # by one ulp
     d = spec.degree
-    knots = np.asarray(spec.interior_knots.values)[:, None]
-    np.float_power(x, np.arange(1, d + 1)[:, None], out=out.T[:d])
+    exponents, knots = spec.kernel_constants
+    np.float_power(x, exponents, out=out.T[:d])
     np.float_power(np.maximum(x - knots, 0.0), d, out=out.T[d:])
 
 
@@ -432,18 +465,14 @@ def _bspline_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray) -> Non
     # arithmetic: each term is (x - t_i)/den * N and a term whose den is 0
     # counts as +0.0. _blend starts each sum from +0.0; left + right equals
     # that sum, signed zeros included, since the two terms are never both -0.0
-    basis = spec.bspline_basis()
-    t = np.asarray(basis.extended_knots.values)
-    tc = t[:, None]
+    tc, levels = spec.kernel_constants
     n = ((tc[:-1] <= x) & (x < tc[1:])).astype(float)
-    for k in range(2, basis.order + 1):
-        m = len(t) - k
-        left_den = t[k - 1 : k - 1 + m] - t[:m]
-        right_den = t[k : k + m] - t[1 : 1 + m]
-        left = (x - tc[:m]) / np.where(left_den == 0.0, 1.0, left_den)[:, None] * n[:m]
-        right = (tc[k : k + m] - x) / np.where(right_den == 0.0, 1.0, right_den)[:, None] * n[1 : 1 + m]
-        left[left_den == 0.0] = 0.0
-        right[right_den == 0.0] = 0.0
+    for k, (left_den, left_zero, right_den, right_zero) in enumerate(levels, start=2):
+        m = len(tc) - k
+        left = (x - tc[:m]) / left_den * n[:m]
+        right = (tc[k : k + m] - x) / right_den * n[1 : 1 + m]
+        left[left_zero] = 0.0
+        right[right_zero] = 0.0
         left += right
         n = left
     out.T[:] = n
@@ -461,7 +490,10 @@ def basis_matrix(spec: SplineBasisSpec, xs: Sequence[float], out: np.ndarray | N
     temporaries do not grow with len(xs). The temporaries are functions x
     points and each block is written through ``out``'s transpose, so numpy's
     inner loops run along the block's points, not along a basis's 1-9
-    functions, which costs one loop per point. It matches the scalar
+    functions, which costs one loop per point. The kernel's constants
+    (``SplineBasisSpec.kernel_constants``) are computed once per spec
+    object, on its first call, so the blocks do only per-point arithmetic;
+    reuse a spec to reuse them. It matches the scalar
     references bit for bit: truncated-power entries are Python's ``x**j`` and
     ``max(x - k, 0.0)**d``; B-spline rows are ``bspline_blend`` of every
     function, except that the exact right domain edge gives the unit last

@@ -15,6 +15,7 @@ from splineids.logistic import (
     SEPARATION_BAND,
     _MAX_HALVINGS,
     ConfusionMatrix,
+    DesignMatrix,
     IrlsTrace,
     LogisticModel,
     _sigmoid,
@@ -60,6 +61,14 @@ class TestBuildDesignMatrix:
         spec = bs_spec(3, (1.0, 1.5, 2.0), (0.0, 3.0))
         dm = build_design_matrix(spec, np.linspace(0.0, 3.0, 9))
         assert dm.matrix.shape == (9, 8)  # 1 + (3 knots + degree + 1)
+
+    @pytest.mark.parametrize("spec", [None, tp_spec(2, (2.0, 4.0)), bs_spec(3, (2.0, 4.0), (0.0, 6.0))])
+    def test_built_design_equals_a_checked_construction(self, spec):
+        with mock.patch.object(DesignMatrix, "__post_init__", side_effect=AssertionError("checked again")):
+            dm = build_design_matrix(spec, np.linspace(0.0, 6.0, 13))
+        checked = DesignMatrix(dm.matrix.copy(), spec)
+        assert np.array_equal(dm.matrix, checked.matrix) and dm.basis_spec is spec
+        assert dm.matrix.dtype == np.float64 and not dm.matrix.flags.writeable
 
     def test_empty_input(self):
         with pytest.raises(EmptyDataError):
@@ -427,6 +436,39 @@ class TestConfusionMatrix:
         cm = confusion_matrix(predicted, actual)
         assert cm.total == len(pairs)
         assert 0.0 <= accuracy(cm) <= 1.0
+
+
+    @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)), max_size=60), st.booleans())
+    def test_counts_match_a_per_element_reference(self, pairs, as_arrays):
+        predicted = [p for p, _ in pairs]
+        actual = [a for _, a in pairs]
+        if as_arrays:
+            predicted, actual = np.array(predicted, dtype=np.int64), np.array(actual, dtype=np.int8)
+        if any(v not in (0, 1) for pair in pairs for v in pair):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                confusion_matrix(predicted, actual)
+            return
+        cm = confusion_matrix(predicted, actual)
+        want = tuple(sum(pair == cell for pair in pairs) for cell in ((1, 1), (1, 0), (0, 0), (0, 1)))
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == want
+        assert all(type(count) is int for count in (cm.tp, cm.fp, cm.tn, cm.fn))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_values_other_than_zero_and_one_raise(self, bad, side):
+        args = [[0, 1, 1, 0], [1, 0, 1, 0]]
+        args[side][2] = bad
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            confusion_matrix(*args)
+
+    def test_two_dimensional_inputs_count_every_element(self):
+        cm = confusion_matrix(np.array([[1, 0, 1], [1, 0, 0]]), np.array([[1, 1, 0], [1, 0, 0]]))
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 2, 1)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_inputs_count_nothing(self, shape):
+        cm = confusion_matrix(np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, 0, 0)
 
 
 class TestAccuracy:

@@ -65,3 +65,16 @@ def test_unusable_outdir_ends_in_one_line(tmp_path):
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("reproduce_comparison.py: error: ") and result.stderr.count("\n") == 1
         assert str(existing_file) in result.stderr and "Traceback" not in result.stderr
+
+
+def test_rejected_option_leaves_no_outdir(tmp_path):
+    for args, message in [
+        (["--n", "0"], "n_records must be an integer"),
+        (["--n", "1"], "need at least 2 records to split"),
+        (["--n", "200", "--grid", "1"], "grid_points must be in [2, "),
+    ]:
+        outdir = tmp_path / "x" / "sub"
+        result = run(SCRIPTS / "reproduce_comparison.py", *args, "--outdir", outdir)
+        assert result.returncode == 1, result.stderr
+        assert message in result.stderr and result.stderr.count("\n") == 1
+        assert not (tmp_path / "x").exists(), args

@@ -510,6 +510,39 @@ class TestTrafficTable:
         with pytest.raises(RowError, match="label 0 inconsistent with attack_type dos"):
             TrafficTable.from_records([record])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(3, 17), slice(None, None, -3), slice(0, 0), np.array([4, 0, 4, 49]), np.arange(50)[::-7], "mask"],
+    )
+    def test_rows_equal_a_checked_build_of_the_same_columns(self, rows):
+        t = self.table
+        rows = t.congested if isinstance(rows, str) else rows
+        with mock.patch.object(TrafficTable, "__post_init__", side_effect=AssertionError("checked again")):
+            got = t[rows]
+        want = TrafficTable(**{name: getattr(t, name)[rows].copy() for name, _ in simulate._COLUMNS})
+        assert got == want
+        for name, dtype in simulate._COLUMNS:
+            column = getattr(got, name)
+            assert column.ndim == 1 and column.dtype == dtype and not column.flags.writeable
+
+    def test_concatenation_equals_a_checked_build_of_the_same_columns(self):
+        t = self.table
+        parts = [t[:10], t[t.congested], t[:0], t[np.array([49, 2])]]
+        with mock.patch.object(TrafficTable, "__post_init__", side_effect=AssertionError("checked again")):
+            got = simulate._concat(parts)
+        want = TrafficTable(
+            **{name: np.concatenate([getattr(p, name) for p in parts]) for name, _ in simulate._COLUMNS}
+        )
+        assert got == want and len(got) == sum(map(len, parts))
+        for name, _ in simulate._COLUMNS:
+            column = getattr(got, name)
+            assert column.ndim == 1 and not column.flags.writeable
+
+    @pytest.mark.parametrize("index", [3, -1, np.int64(7)])
+    def test_scalar_index_raises(self, index):
+        with pytest.raises(ValueError, match="1-D"):
+            self.table[index]
+
 
 def oracle_read_csv(path):
     """The per-row reader that ``read_csv`` replaced, with its record checks inline.

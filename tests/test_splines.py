@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,17 @@ from splineids.errors import (
     InvalidAbscissaeError,
     OutOfDomainError,
 )
+from splineids.experiment import save_model
+from splineids.logistic import LogisticModel
 from splineids.splines import (
+    _BLOCK_ROWS,
     BasisKind,
     BSplineBasis,
     InterpolationData,
     KnotVector,
     PiecewisePolynomial,
     SplineBasisSpec,
+    basis_matrix,
     basis_row,
     bspline_blend,
     eval_linear_interpolant,
@@ -473,6 +479,54 @@ class TestBasisRow:
             bs_spec(2, (0.0, 1.0), (0.0, 3.0))
         with pytest.raises(ValueError):
             tp_spec(1, (11.0,))
+
+
+def _arrays(value):
+    """Every array in a nest of tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for item in value for a in _arrays(item)]
+
+
+class TestKernelConstants:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_reused_and_equal_specs_give_bit_identical_matrices(self, kind, degree):
+        def spec():
+            return SplineBasisSpec(kind, degree, KnotVector((2.0, 5.0, 7.5)), (0.0, 10.0))
+
+        x = np.random.default_rng(degree).uniform(0.0, 10.0, 2 * _BLOCK_ROWS + 1)
+        # the edges and a knot on each side of both block boundaries
+        x[[0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS]] = (0.0, 10.0, 5.0, 2.0, 10.0)
+        reused = spec()
+        first = basis_matrix(reused, x)
+        assert first.shape == (x.size, reused.dimension)
+        assert basis_matrix(reused, x).tobytes() == first.tobytes()
+        assert basis_matrix(spec(), x).tobytes() == first.tobytes()
+        # a cache filled by a one-row call serves the blocks as well
+        warmed = spec()
+        basis_row(warmed, 1.0)
+        assert basis_matrix(warmed, x).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("spec", [tp_spec(2, (1.0, 2.0)), bs_spec(3, (1.0, 1.5, 2.0), (0.0, 3.0))])
+    def test_constants_are_computed_once_and_read_only(self, spec):
+        constants = spec.kernel_constants
+        assert spec.kernel_constants is constants
+        for array in _arrays(constants):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_cache_leaves_fields_equality_hash_and_model_files_alone(self, tmp_path):
+        spec, twin = bs_spec(3, (1.0, 1.5, 2.0), (0.0, 3.0)), bs_spec(3, (1.0, 1.5, 2.0), (0.0, 3.0))
+        model = LogisticModel(0.5, tuple(range(spec.dimension)), spec, True, 4, False)
+        save_model(model, tmp_path / "before.json")
+        hashed = hash(spec)
+        basis_matrix(spec, [0.0, 1.2, 3.0])
+        assert [f.name for f in dataclasses.fields(spec)] == ["kind", "degree", "interior_knots", "domain"]
+        assert spec == twin and hash(spec) == hash(twin) == hashed
+        save_model(model, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 
 
 def test_degree_one_span_equivalence_least_squares():
