@@ -11,8 +11,10 @@ link) with step halving, so the log-likelihood never decreases across
 accepted iterations. Each step is one minimum-norm solve of the weighted
 normal equations (``np.linalg.lstsq``) with no ridge retry; it is exact
 for the rank-deficient design of an intercept plus a partition-of-unity
-B-spline basis. The log-likelihood is the unclipped
-``y.eta - sum(logaddexp(0, eta))``.
+B-spline basis. The log-likelihood the step compares is the unclipped
+``y.eta - sum(logaddexp(0, eta))``. The one reported for the returned
+coefficients is ``-sum(softplus((1 - 2y) * eta))``: the same value, as a
+sum of nonnegative terms, which does not cancel on near-separated fits.
 
 Once any fitted probability reaches the band (p <= 1e-12 or
 p >= 1 - 1e-12) the iteration stops at the current coefficients with
@@ -141,8 +143,15 @@ def _loglik_and_prob(y: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]
     return ll, _sigmoid(eta, e)
 
 
+def _exact_loglik(y: np.ndarray, eta: np.ndarray) -> float:
+    """``-sum(softplus((1 - 2y) * eta))``, each term ``max(t, 0) + log1p(exp(-|t|))`` and nonnegative."""
+    return -float((np.maximum((1.0 - 2.0 * y) * eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))).sum())
+
+
 @dataclass
 class IrlsTrace:
+    """An IRLS run: ``loglik`` is ``_exact_loglik`` at ``beta``; ``loglik_history`` holds what the step compared."""
+
     beta: np.ndarray
     converged: bool
     iterations: int
@@ -158,7 +167,8 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
     beta = np.zeros(x.shape[1])
     # lstsq's default cutoff for a square system of this size, worked out once per fit
     rcond = np.finfo(float).eps * x.shape[1]
-    ll, p = _loglik_and_prob(y, x @ beta)
+    eta = x @ beta
+    ll, p = _loglik_and_prob(y, eta)
     history = [ll]
     converged = False
     separated = False
@@ -176,7 +186,8 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             beta_new = beta + step * delta
-            ll_new, p_new = _loglik_and_prob(y, x @ beta_new)
+            eta_new = x @ beta_new
+            ll_new, p_new = _loglik_and_prob(y, eta_new)
             if ll_new >= ll:
                 break
             step *= 0.5
@@ -184,7 +195,7 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
             converged = True  # no ascent direction left: stationary
             break
 
-        beta, p = beta_new, p_new
+        beta, eta, p = beta_new, eta_new, p_new
         history.append(ll_new)
         # an accepted p holds no NaN (a NaN log-likelihood fails ll_new >= ll),
         # so its extremes decide the band test
@@ -196,7 +207,7 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
             break
         ll = ll_new
 
-    return IrlsTrace(beta, converged, iterations, separated, history[-1], history)
+    return IrlsTrace(beta, converged, iterations, separated, _exact_loglik(y, eta), history)
 
 
 def fit_logistic(dm: DesignMatrix, labels: Sequence[int]) -> LogisticModel:

@@ -16,25 +16,24 @@ generated block or from a CSV block) checks all its columns at once, while
 rows taken from checked tables, by indexing or concatenation, are not checked
 again. Iterating a table yields :class:`TrafficRecord` rows.
 
-Randomness: a single PCG64 generator seeded from ``ScenarioConfig.seed``.
-Draw order is fixed: first ``n_vehicles`` per-vehicle delay-jitter normals,
-then per record: congestion uniform, attack uniform, attack-type uniform
-(only when attacked), vehicle index, delay normal, drop Poisson, interval
-normal. These scalar draws are stream 1, the stream a seed reproduces; the
-exponentials that turn log-delays and log-intervals into milliseconds run
-once over each column afterwards. Stream 1 is defined by PCG64's 64-bit
-words, as numpy's ``Generator`` reads them:
+Randomness: one PCG64 stream per column, seeded by the children of
+``np.random.SeedSequence(ScenarioConfig.seed).spawn(8)`` in this order:
 
-- a uniform is ``(word >> 11) * 2**-53`` (``Generator.random()``), one word
-  each; the loop tests ``u < f`` as ``word < ceil(f * 2**53) << 11``, which
-  is the same test for every f in [0, 1];
-- the vehicle index is ``Generator.integers(0, n_vehicles)``: Lemire's
-  multiply-and-reject on 32-bit draws ``x``, giving ``x * n >> 32`` unless
-  the low 32 bits of ``x * n`` fall below ``2**32 % n``, which draws again.
-  A 32-bit draw is the low half of a fresh word, and the high half is kept
-  for the next 32-bit draw; one vehicle makes no draw;
-- the normals and Poisson drops are numpy's scalar ``standard_normal`` and
-  ``poisson``, called on the same generator.
+0. the ``n_vehicles`` per-vehicle delay-jitter normals;
+1. the congestion uniforms (congested when ``u < congested_fraction``);
+2. the attack uniforms (attacked when ``u < attack_fraction``);
+3. the attack-type uniforms, one for every record, through the cumulative
+   ``attack_mix``;
+4. the vehicle-index uniforms: the index ``floor(u * n_vehicles)`` is at
+   most ``n_vehicles - 1`` for every count up to ``MAX_COUNT``, and its odds
+   differ from a uniform integer's by at most ``n_vehicles * 2**-53``;
+5. the delay normals;
+6. the Poisson drops, at each record's cell rate;
+7. the interval normals.
+
+No draw keeps words back for the next, so the records do not depend on
+``_BLOCK_ROWS``. Earlier versions drew one record at a time from one stream,
+so a seed now names different records; CSV files they wrote still load.
 
 The CSV writer goes ``_BLOCK_ROWS`` rows at a time and the reader
 ``_BLOCK_CHARS`` characters at a time, each block ended at the next line end,
@@ -59,7 +58,6 @@ import csv
 import io
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -318,64 +316,57 @@ def _concat(tables: Sequence[TrafficTable]) -> TrafficTable:
 def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     """Generate exactly ``config.n_records`` records, deterministic per seed.
 
-    Stream 1 is drawn as the module docstring says, ``_BLOCK_ROWS`` records
-    at a time; each block is checked as a table before the next is drawn.
+    The columns are drawn as the module docstring says, ``_BLOCK_ROWS``
+    records at a time; each block is checked as a table before the next is
+    drawn. The first invalid record is named: a record whose Poisson rate
+    numpy rejects, or one whose values break the table's value rule,
+    whichever comes first; at one record, the rejected rate is reported.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    jitter = rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles).tolist()
+    streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
+    jitter_rng, congested_rng, attacked_rng, type_rng, vehicle_rng, delay_rng, drops_rng, interval_rng = streams
+    jitter = jitter_rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles)
     mix = np.asarray(config.attack_mix, dtype=float)
-    cum_mix = np.cumsum(mix / mix.sum()).tolist()
+    cum_mix = np.cumsum(mix / mix.sum())
     # indexed by 2 * attacked + congested
     cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
-    # a uniform (word >> 11) * 2**-53 is below f exactly when word is below ceil(f * 2**53) << 11
-    congested_below = math.ceil(config.congested_fraction * 2.0**53) << 11
-    attacked_below = math.ceil(config.attack_fraction * 2.0**53) << 11
-    n_vehicles = config.n_vehicles
-    reject_below = 2**32 % n_vehicles  # Lemire's threshold for a 32-bit draw
-    # numpy draws normal(mu, sigma) as mu + sigma * standard_normal(), so the stream is the same
-    word, normal, poisson = rng.bit_generator.random_raw, rng.standard_normal, rng.poisson
-    half = None  # the high half of a word whose low half was a 32-bit draw
+    delay_mu, delay_sigma, drop_rate, interval_mu, interval_sigma = np.array(
+        [(c.delay_mu, c.delay_sigma, c.drop_rate, c.interval_mu, c.interval_sigma) for c in cells]
+    ).T
+    rate_faults = [_poisson_fault(drops_rng, rate) for rate in drop_rate.tolist()]
+    rejected = np.array([fault is not None for fault in rate_faults])
 
     tables = []
     for start in range(0, config.n_records, _BLOCK_ROWS):
-        congested, codes, log_delay, drops, log_interval = [], [], [], [], []
-        failure = None
+        m = min(_BLOCK_ROWS, config.n_records - start)
+        congested = congested_rng.random(m) < config.congested_fraction
+        attacked = attacked_rng.random(m) < config.attack_fraction
+        codes = np.where(attacked, cum_mix.searchsorted(type_rng.random(m), side="right") + 1, 0)
+        vehicle = (vehicle_rng.random(m) * config.n_vehicles).astype(np.intp)
+        cell = 2 * attacked + congested
+        # an overflowing draw gives inf or NaN, which the table's check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            delay = np.exp(delay_mu[cell] + jitter[vehicle] + delay_sigma[cell] * delay_rng.standard_normal(m))
+            interval = np.exp(interval_mu[cell] + interval_sigma[cell] * interval_rng.standard_normal(m))
+        # a vector Poisson call rejects the whole array, so the rows before the first rejected rate draw alone
+        bad = rejected[cell]
+        n = int(bad.argmax()) if bad.any() else m
+        drops = drops_rng.poisson(drop_rate[cell[:n]])
         try:
-            for _ in range(min(_BLOCK_ROWS, config.n_records - start)):
-                c = word() < congested_below
-                attacked = word() < attacked_below
-                codes.append(bisect_right(cum_mix, (word() >> 11) * 2.0**-53) + 1 if attacked else 0)
-                vehicle = 0
-                if n_vehicles > 1:
-                    while True:
-                        if half is None:
-                            x = word()
-                            x, half = x & 0xFFFFFFFF, x >> 32
-                        else:
-                            x, half = half, None
-                        x *= n_vehicles
-                        if x & 0xFFFFFFFF >= reject_below:
-                            break
-                    vehicle = x >> 32
-                cell = cells[2 * attacked + c]
-                congested.append(c)
-                log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * normal())
-                drops.append(poisson(cell.drop_rate))
-                log_interval.append(cell.interval_mu + cell.interval_sigma * normal())
-        except ValueError as err:  # numpy's Poisson sampler rejects too large a rate
-            failure = str(err)
-
-        n = len(log_interval)  # the records of this block drawn in full
-        # an overflowing draw gives inf, which the table's check rejects
-        with np.errstate(over="ignore"):
-            delay, interval = np.exp(log_delay[:n]), np.exp(log_interval)
-        try:
-            tables.append(TrafficTable(delay, drops, interval, congested[:n], codes[:n]))
+            tables.append(TrafficTable(delay[:n], drops, interval[:n], congested[:n], codes[:n]))
         except RowError as err:
             raise ConfigError(f"scenario draws an invalid record {start + err.row}: {err.reason}") from None
-        if failure is not None:
-            raise ConfigError(f"scenario draws an invalid record {start + n}: {failure}")
+        if n < m:
+            raise ConfigError(f"scenario draws an invalid record {start + n}: {rate_faults[cell[n]]}")
     return _concat(tables)
+
+
+def _poisson_fault(stream: np.random.Generator, rate: float) -> str | None:
+    """numpy's message if its Poisson sampler rejects ``rate`` (too large a rate), or None; draws nothing."""
+    try:
+        stream.poisson(rate, 0)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 # the last three fields of a written row, indexed by len(AttackType) * congested + attack code

@@ -88,21 +88,40 @@ class TestGenerateDataset:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"normal_uncongested": {"drop_rate": 1e30}}, "record 0: lam value too large"),
-            ({"attack_uncongested": {"delay_mu": 800}}, "record 1: packet_delay_ms must be finite and positive, got inf"),
+            # each {cell} is the first record of that cell in the same-seed data
+            ({"normal_uncongested": {"drop_rate": 1e30}}, "record {normal_uncongested}: lam value too large"),
+            (
+                {"attack_uncongested": {"delay_mu": 800}},
+                "record {attack_uncongested}: packet_delay_ms must be finite and positive, got inf",
+            ),
             (
                 {"normal_congested": {"interval_mu": -800}, "congested_fraction": 0.5},
-                "record 5: transfer_interval_ms must be finite and positive, got 0.0",
+                "record {normal_congested}: transfer_interval_ms must be finite and positive, got 0.0",
             ),
             # an invalid record drawn before the Poisson failure is the one reported
             (
+                {"normal_uncongested": {"drop_rate": 1e30}, "normal_congested": {"delay_mu": 800}},
+                "record {normal_congested}: packet_delay_ms must be finite and positive, got inf",
+            ),
+            # a Poisson failure before an invalid record is the one reported
+            (
                 {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
-                "record 0: packet_delay_ms must be finite and positive, got inf",
+                "record {attack_congested}: lam value too large",
+            ),
+            # at one record, the Poisson failure is reported ahead of the record's values
+            (
+                {"attack_uncongested": {"drop_rate": 1e30, "delay_mu": 800}},
+                "record {attack_uncongested}: lam value too large",
             ),
         ],
     )
     def test_invalid_draw_names_the_first_bad_record(self, overrides, message):
-        with pytest.raises(ConfigError, match=f"^scenario draws an invalid {message}$"):
+        # cell parameters change no uniform, so the valid scenario has the same cells record for record
+        scenario = {k: v for k, v in overrides.items() if k not in simulate._CELL_NAMES}
+        valid = generate_dataset(scenario_from_dict(scenario))
+        cells = 2 * valid.label + valid.congested
+        first = {name: int(np.argmax(cells == i)) for i, name in enumerate(simulate._CELL_NAMES)}
+        with pytest.raises(ConfigError, match=f"^scenario draws an invalid {message.format(**first)}$"):
             generate_dataset(scenario_from_dict(overrides))
 
     def test_config_errors_name_field(self):
@@ -263,64 +282,68 @@ class TestScenarioDicts:
 @pytest.mark.parametrize(
     "n,seed,digest",
     [
-        (600, 42, "c0c93d5bbe4ddad917dee26aca34b40719a1344ec5374f9cf736f7835313b3d1"),
-        (20000, 7, "87a07e277f9a9f70034376df844331135d980231267b10c992e81d83a1ae0513"),
+        (600, 42, "900af5267cdf8f0906b1953a7799827185ecc39ab11b77d918f8076fbdf19964"),
+        (20000, 7, "ed833f2cfe9229ab1d396b7ee9ed6aca1cfad027ab8cea6fff24c1608fdbc104"),
     ],
 )
-def test_stream_1_csv_digest_is_pinned(tmp_path, n, seed, digest):
+def test_csv_digest_is_pinned(tmp_path, n, seed, digest):
     # recorded with numpy 2.4; NumPy does not promise Generator streams across versions
     path = tmp_path / "traffic.csv"
     assert cli.main(["simulate", "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_stream_1_csv_digest_with_lemire_rejections_is_pinned(tmp_path):
-    # a million vehicles: this stream redraws 6 of its vehicle indices after a Lemire rejection,
-    # which at the default 52 vehicles happens about once in 1e8 draws; recorded with numpy 2.4
+def test_csv_digest_with_a_million_vehicles_is_pinned(tmp_path):
+    # vehicle indices floor(u * n) near MAX_COUNT, and jitter for a million vehicles; recorded with numpy 2.4
     config, path = tmp_path / "scenario.json", tmp_path / "traffic.csv"
     config.write_text(json.dumps({"n_vehicles": 1_000_000}))
     argv = ["simulate", "--config", str(config), "--n", "20000", "--seed", "3", "--out", str(path)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "271058bc1e63d6002a4a615d8ae617173bb5c19b1416b99cf6a77bbf51613fc4"
+        "e6eefce32725432ee2f073374d3060e97a937d34a8368fe3a4ede115db81c308"
     )
 
 
 def oracle_generate_dataset(config: ScenarioConfig) -> TrafficTable:
-    """The scalar loop that ``generate_dataset`` replaced: numpy's own uniform and integer samplers."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    jitter = rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles).tolist()
+    """An unblocked draw: each column whole from its stream, then a scalar loop over the records.
+
+    The loop works out each record's cell, attack type, vehicle and log-values
+    in Python floats, and draws its Poisson drops with a scalar call, which
+    raises at the record whose rate numpy rejects.
+    """
+    streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
+    n = config.n_records
+    jitter = streams[0].normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles).tolist()
+    congested_u, attacked_u, type_u, vehicle_u = (stream.random(n).tolist() for stream in streams[1:5])
+    delay_z, interval_z = streams[5].standard_normal(n).tolist(), streams[7].standard_normal(n).tolist()
+    poisson = streams[6].poisson
     mix = np.asarray(config.attack_mix, dtype=float)
     cum_mix = np.cumsum(mix / mix.sum()).tolist()
     # indexed by 2 * attacked + congested
     cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
-    congested_fraction, attack_fraction = config.congested_fraction, config.attack_fraction
-    n_vehicles = config.n_vehicles
-    # numpy draws normal(mu, sigma) as mu + sigma * standard_normal(), so the stream is the same
-    uniform, integers, normal, poisson = rng.random, rng.integers, rng.standard_normal, rng.poisson
 
     congested, codes, log_delay, drops, log_interval = [], [], [], [], []
     failure = None
     try:
-        for _ in range(config.n_records):
-            c = uniform() < congested_fraction
-            attacked = uniform() < attack_fraction
-            codes.append(bisect_right(cum_mix, uniform()) + 1 if attacked else 0)
-            vehicle = integers(0, n_vehicles)
+        for i in range(n):
+            c = congested_u[i] < config.congested_fraction
+            attacked = attacked_u[i] < config.attack_fraction
             cell = cells[2 * attacked + c]
+            drops.append(poisson(cell.drop_rate))  # numpy's Poisson sampler rejects too large a rate
             congested.append(c)
-            log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * normal())
-            drops.append(poisson(cell.drop_rate))
-            log_interval.append(cell.interval_mu + cell.interval_sigma * normal())
-    except ValueError as err:  # numpy's Poisson sampler rejects too large a rate
+            codes.append(bisect_right(cum_mix, type_u[i]) + 1 if attacked else 0)
+            vehicle = math.floor(vehicle_u[i] * config.n_vehicles)
+            log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * delay_z[i])
+            log_interval.append(cell.interval_mu + cell.interval_sigma * interval_z[i])
+    except ValueError as err:
         failure = str(err)
 
     n = len(log_interval)  # the records drawn in full
-    # an overflowing draw gives inf, which the table's check rejects
-    with np.errstate(over="ignore"):
-        delay, interval = np.exp(log_delay[:n]), np.exp(log_interval)
+    # an overflowing draw gives inf or NaN, which the table's check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        delay, interval = np.exp(log_delay), np.exp(log_interval)
     try:
-        table = TrafficTable(delay, drops, interval, congested[:n], codes[:n])
+        table = TrafficTable(delay, drops, interval, congested, codes)
     except RowError as err:
         raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
     if failure is not None:
@@ -337,9 +360,10 @@ def generated(generate, config):
     return tuple(getattr(table, name).tolist() for name, _ in simulate._COLUMNS)
 
 
-# 1 makes no integer draw and 2 never rejects one; n rejects a 32-bit draw with odds (2**32 % n) / 2**32
+# one vehicle always gets index 0; the largest counts check floor(u * n) <= n - 1 near MAX_COUNT
 VEHICLE_COUNTS = [1, 2, 3, 52, 65_537, 999_983, 1_000_000]
 EDGE_FRACTIONS = [0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0]
+BLOCK_SIZES = [1, 3, 7, 4096]
 fractions = st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0))
 # numpy's Poisson sampler inverts the CDF below a rate of 10 and uses rejection from 10 up
 drop_rates = st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_max=True), st.floats(10.0, 1e4))
@@ -370,22 +394,20 @@ scenarios = st.builds(
 
 
 class TestGeneratorOracle:
-    """``generate_dataset`` draws the stream of numpy's scalar samplers, word for word."""
+    """``generate_dataset`` equals an unblocked draw of the same streams, at every block size."""
 
     @settings(max_examples=200, deadline=None)
     @given(config=scenarios)
     def test_matches_the_scalar_loop(self, config):
-        assert generated(generate_dataset, config) == generated(oracle_generate_dataset, config)
+        expected = generated(oracle_generate_dataset, config)
+        for block_rows in BLOCK_SIZES:
+            with mock.patch.object(simulate, "_BLOCK_ROWS", block_rows):
+                assert generated(generate_dataset, config) == expected, block_rows
 
     @pytest.mark.parametrize("n_vehicles", VEHICLE_COUNTS)
     def test_matches_the_scalar_loop_beside_a_block_boundary(self, monkeypatch, n_vehicles):
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", 7)
         config = ScenarioConfig(n_records=50, n_vehicles=n_vehicles, seed=n_vehicles)
-        assert generate_dataset(config) == oracle_generate_dataset(config)
-
-    def test_matches_the_scalar_loop_through_lemire_rejections(self):
-        # the stream of the third pinned digest, which redraws 6 vehicle indices
-        config = ScenarioConfig(n_records=20_000, n_vehicles=1_000_000, seed=3)
         assert generate_dataset(config) == oracle_generate_dataset(config)
 
     @pytest.mark.parametrize(
@@ -395,11 +417,12 @@ class TestGeneratorOracle:
             {"attack_uncongested": {"delay_mu": 800}},
             {"normal_congested": {"interval_mu": -800}, "congested_fraction": 0.5},
             {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
-            # the Poisson sampler fails after the first block
-            {"attack_uncongested": {"drop_rate": 1e30}},
+            # the Poisson sampler fails late (at record 155 of seed 42), many blocks in at small block sizes
+            {"attack_congested": {"drop_rate": 1e30}, "congested_fraction": 0.02},
+            {"attack_uncongested": {"drop_rate": 1e30, "delay_mu": 800}},
         ],
     )
-    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
     def test_invalid_draws_match_the_scalar_loop(self, monkeypatch, overrides, block_rows):
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
         config = scenario_from_dict(overrides)
@@ -408,27 +431,14 @@ class TestGeneratorOracle:
         assert generated(generate_dataset, config) == message
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**64),
-        n_vehicles=st.sampled_from(VEHICLE_COUNTS),
-        record=st.integers(0, 20),
-        above=st.booleans(),
-    )
-    def test_a_congested_fraction_equal_to_a_drawn_uniform(self, seed, n_vehicles, record, above):
-        # with no attacks and no drops, a record draws two uniforms, a vehicle index and two normals
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rng.normal(size=n_vehicles)
-        for _ in range(record):
-            rng.random(), rng.random(), rng.integers(0, n_vehicles), rng.standard_normal(2)
-        uniform = rng.random()  # the congestion uniform of ``record``
-        config = scenario_from_dict({
-            "n_records": record + 1,
-            "n_vehicles": n_vehicles,
-            "attack_fraction": 0.0,
-            "congested_fraction": math.nextafter(uniform, 1.0) if above else uniform,
-            "seed": seed,
-            **{name: {"drop_rate": 0.0} for name in simulate._CELL_NAMES},
-        })
+    @given(seed=st.integers(0, 2**64), record=st.integers(0, 20), above=st.booleans())
+    def test_a_congested_fraction_equal_to_a_drawn_uniform(self, seed, record, above):
+        # a record is congested when its uniform from child stream 1 is below the fraction
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(8)[1]))
+        uniform = stream.random(record + 1)[record]
+        config = ScenarioConfig(
+            n_records=record + 1, congested_fraction=math.nextafter(uniform, 1.0) if above else uniform, seed=seed
+        )
         table = generate_dataset(config)
         assert table == oracle_generate_dataset(config)
         assert table.congested[record] == above
