@@ -15,7 +15,6 @@ from splineids.experiment import (
     emit_curves,
     emit_report,
     run_experiment,
-    write_curves_csv,
 )
 from splineids.simulate import ScenarioConfig
 
@@ -41,7 +40,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     text = emit_report(report, "text", outdir / "report.txt")
     emit_report(report, "csv", outdir / "report.csv")
-    write_curves_csv(curves, outdir / "curves.csv")
+    (outdir / "curves.csv").write_text(curves.to_csv(), encoding="utf-8")
 
     print(text, end="")
     print(f"\nwrote {outdir}/report.txt, {outdir}/report.csv, {outdir}/curves.csv")

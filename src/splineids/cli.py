@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 from . import experiment as exp
 from .errors import ConfigError, NumericalError, SplineIdsError
@@ -32,13 +33,9 @@ def _load_scenario(path: str | None, seed: int | None, n_records: int | None = N
             raise ConfigError(f"cannot read scenario file: {err}")
         except ValueError as err:  # undecodable bytes as well as bad JSON
             raise ConfigError(f"scenario file is not valid JSON: {err}")
-        if not isinstance(data, dict):
-            raise ConfigError("scenario config must be a JSON object")
-    if seed is not None:
-        data = {**data, "seed": seed}
-    if n_records is not None:
-        data = {**data, "n_records": n_records}
-    return scenario_from_dict(data)
+    overrides = {name: value for name, value in (("seed", seed), ("n_records", n_records)) if value is not None}
+    # scenario_from_dict rejects a document that is not an object
+    return scenario_from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
 def _parse_models(text: str) -> tuple[exp.ModelKind, ...]:
@@ -156,7 +153,7 @@ def _cmd_experiment(args) -> None:
 def _cmd_curves(args) -> None:
     config = _experiment_config(args)
     bundle = exp.emit_curves(config, args.grid)
-    exp.write_curves_csv(bundle, args.out)
+    Path(args.out).write_text(bundle.to_csv(), encoding="utf-8")
 
 
 def _cmd_train(args) -> None:
@@ -168,7 +165,7 @@ def _cmd_train(args) -> None:
         bspline_degree=args.bspline_degree,
     )
     records, _ = exp.load_records(config)
-    (model,) = exp.fit_models(config, *exp.delays_and_labels(records)).models.values()
+    (model,) = exp.fit_models(config, records.packet_delay_ms, records.label).models.values()
     exp.save_model(model, args.save)
 
 
@@ -176,7 +173,7 @@ def _cmd_evaluate(args) -> None:
     config = exp.ExperimentConfig(data_csv=args.data, threshold=args.threshold)
     model = exp.load_model(args.load)
     records, _ = exp.load_records(config)
-    cm, clamped = exp.score_model(model, *exp.delays_and_labels(records), config.threshold)
+    cm, clamped = exp.score_model(model, records.packet_delay_ms, records.label, config.threshold)
     sys.stdout.write(
         f"n: {cm.total}\n"
         f"tp: {cm.tp}\nfp: {cm.fp}\ntn: {cm.tn}\nfn: {cm.fn}\n"

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateKnotsError, InsufficientDataError, ModelLoadError, SplitError
+from .errors import ConfigError, DegenerateKnotsError, EmptyDataError, InsufficientDataError, ModelLoadError, SplitError
 from .logistic import (
     ConfusionMatrix,
     LogisticModel,
@@ -28,7 +28,7 @@ from .logistic import (
     fit_logistic,
     predict_prob,
 )
-from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, generate_dataset, read_csv, scenario_to_dict
+from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, generate_dataset, json_default, read_csv
 from .splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 MODEL_FILE_FORMAT = "splineids-model"
@@ -145,18 +145,8 @@ class CurveBundle:
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    payload = {
-        "data_csv": config.data_csv,
-        "scenario": scenario_to_dict(config.scenario) if config.scenario else None,
-        "split_ratio": config.split_ratio,
-        "split_seed": config.split_seed,
-        "knot_probs": list(config.knot_probs),
-        "models": [m.value for m in config.models],
-        "threshold": config.threshold,
-        "bspline_degree": config.bspline_degree,
-        "congestion_filter": config.congestion_filter,
-    }
-    text = json.dumps(payload, sort_keys=True)
+    """The first 16 hex digits of the SHA-256 of the config's fields as sorted JSON."""
+    text = json.dumps(config, sort_keys=True, default=json_default)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -195,13 +185,12 @@ def basis_spec_for(
 def load_records(config: ExperimentConfig) -> tuple[TrafficTable, int | None]:
     """The records ``config`` names, and the scenario seed (None for CSV input)."""
     if config.data_csv is not None:
-        return read_csv(config.data_csv), None
+        records = read_csv(config.data_csv)
+        if not len(records):
+            raise EmptyDataError(f"{config.data_csv} holds no records")
+        return records, None
     scenario = config.scenario if config.scenario is not None else ScenarioConfig()
     return generate_dataset(scenario), scenario.seed
-
-
-def delays_and_labels(records: TrafficTable) -> tuple[np.ndarray, np.ndarray]:
-    return records.packet_delay_ms, records.label
 
 
 def _filter_records(records: TrafficTable, which: str) -> TrafficTable:
@@ -265,8 +254,8 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
     records, scenario_seed = load_records(config)
     records = _filter_records(records, config.congestion_filter)
     train, test = split_train_test(records, config.split_ratio, config.split_seed)
-    fitted = fit_models(config, *delays_and_labels(train))
-    test_x, test_y = delays_and_labels(test)
+    fitted = fit_models(config, train.packet_delay_ms, train.label)
+    test_x, test_y = test.packet_delay_ms, test.label
 
     rows = []
     for kind, model in fitted.models.items():
@@ -403,10 +392,6 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
         dm = build_design_matrix(model.basis_spec, delays)
         probabilities[kind] = predict_prob(model, dm)
     return CurveBundle(delays, probabilities, report.config_digest)
-
-
-def write_curves_csv(bundle: CurveBundle, path: str | Path) -> None:
-    Path(path).write_text(bundle.to_csv(), encoding="utf-8")
 
 
 def _spec_to_dict(spec: SplineBasisSpec | None) -> dict | None:

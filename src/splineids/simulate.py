@@ -11,10 +11,10 @@ Records travel as a :class:`TrafficTable`: one numpy column per field (packet
 delay and transfer interval float64, packet drops int64, the congestion flag
 bool, the attack type an int8 code into ``AttackType``), with the label
 derived from the attack code. The value rule ``_value_fault`` runs where
-values enter the program: building a table (directly, from records, from a
-generated block or from a CSV block) checks all its columns at once, while
-rows taken from checked tables, by indexing or concatenation, are not checked
-again. Iterating a table yields :class:`TrafficRecord` rows.
+values enter the program: building a table (from columns, from a generated
+block or from a CSV block) checks all its columns at once, while rows taken
+from checked tables, by indexing or concatenation, are not checked again.
+Iterating a table yields :class:`TrafficRecord` rows.
 
 Randomness: one PCG64 stream per column, seeded by the children of
 ``np.random.SeedSequence(ScenarioConfig.seed).spawn(8)`` in this order:
@@ -23,7 +23,7 @@ Randomness: one PCG64 stream per column, seeded by the children of
 1. the congestion uniforms (congested when ``u < congested_fraction``);
 2. the attack uniforms (attacked when ``u < attack_fraction``);
 3. the attack-type uniforms, one for every record, through the cumulative
-   ``attack_mix``;
+   ``attack_mix`` (see ``_attack_type_index``);
 4. the vehicle-index uniforms: the index ``floor(u * n_vehicles)`` is at
    most ``n_vehicles - 1`` for every count up to ``MAX_COUNT``, and its odds
    differ from a uniform integer's by at most ``n_vehicles * 2**-53``;
@@ -45,20 +45,21 @@ comma-separated fields, holds no quote, carriage return or NUL, and has no
 field longer than ``csv.field_size_limit()``; ``csv.reader`` splits it
 exactly as ``line[:-1].split(",")`` does. The reader splits a block of text
 with string operations and, when every line is a plain row, converts its
-columns: the reals with ``float``, the drop count with ``int``, and the
-(congested, attack_type, label) fields with one lookup among the ten triples
-that ``write_csv`` writes. From the first block that is not all plain rows,
-holds a triple that ``write_csv`` does not write (a label spelt ``01``, say),
-or fails a check, every row goes through ``csv.reader`` and is checked by
-``_row_fault`` as it is read; the first faulty row raises, and each
-``_BLOCK_ROWS`` rows that pass are converted with ``_table_of``.
+columns: the (congested, attack_type, label) fields with one lookup among
+the ten triples that ``write_csv`` writes, the rest with ``_table_of``. From
+the first block that is not all plain rows, holds a triple that ``write_csv``
+does not write (a label spelt ``01``, say), or fails a check, every row goes
+through ``csv.reader`` and is checked by ``_row_fault`` as it is read; the
+first faulty row raises, and each ``_BLOCK_ROWS`` rows that pass are
+converted with ``_table_of`` too.
 """
 
 import csv
 import io
+import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -99,8 +100,6 @@ class TrafficRecord:
     attack_type: AttackType
     label: int
 
-
-_ATTACK_CODES = {t: code for code, t in enumerate(AttackType)}  # NONE is 0
 
 # the columns of a table, in CSV order, with their dtypes
 _COLUMNS = (
@@ -143,13 +142,13 @@ def _value_fault(delay: float, drops: int, interval: float, code: int) -> str | 
 class TrafficTable:
     """Traffic records as read-only numpy columns; row ``i`` of each is record ``i``.
 
-    Each column is converted to its dtype in ``_COLUMNS``; ``attack_code``
-    indexes ``AttackType`` (0 is ``NONE``). The value rule, ``_value_fault``,
-    runs where values enter the program: building a table checks every row
-    at once, and the first row that breaks the rule raises
-    :class:`RowError` with that rule's message. Rows taken from checked
-    tables (``table[rows]`` and ``_concat``) are not checked again; they
-    keep the read-only columns and the 1-D shape check.
+    Values enter a table only through its five columns, each converted to its
+    dtype in ``_COLUMNS``; ``attack_code`` indexes ``AttackType`` (0 is
+    ``NONE``) and the label is derived from it. Building a table runs the
+    value rule, ``_value_fault``, on every row at once, and the first row
+    that breaks the rule raises :class:`RowError` with that rule's message.
+    Rows taken from checked tables (``table[rows]`` and ``_concat``) are not
+    checked again; they keep the read-only columns and the 1-D shape check.
     """
 
     packet_delay_ms: np.ndarray
@@ -185,21 +184,6 @@ class TrafficTable:
             object.__setattr__(table, name, column)
         table._freeze()
         return table
-
-    @classmethod
-    def from_records(cls, records: Iterable[TrafficRecord]) -> "TrafficTable":
-        """The table of ``records``; a label that disagrees with its attack type is a RowError."""
-        records = list(records)
-        for i, r in enumerate(records):
-            if r.label != int(r.attack_type is not AttackType.NONE):
-                raise RowError(i, f"label {r.label} inconsistent with attack_type {r.attack_type.value}")
-        return cls(
-            [r.packet_delay_ms for r in records],
-            [r.packets_dropped for r in records],
-            [r.transfer_interval_ms for r in records],
-            [r.congested for r in records],
-            [_ATTACK_CODES[r.attack_type] for r in records],
-        )
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name, _ in _COLUMNS)
@@ -246,9 +230,9 @@ class CellParams:
     interval_sigma: float
 
     def __post_init__(self):
-        for name in ("delay_mu", "delay_sigma", "drop_rate", "interval_mu", "interval_sigma"):
-            if not _is_finite_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name, value in vars(self).items():
+            if not _is_finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.delay_sigma <= 0:
             raise ConfigError("delay_sigma must be > 0")
         if self.interval_sigma <= 0:
@@ -301,6 +285,10 @@ class ScenarioConfig:
         object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
 
 
+# the four cells of a scenario, indexed by 2 * attacked + congested
+_CELL_NAMES = ("normal_uncongested", "normal_congested", "attack_uncongested", "attack_congested")
+
+
 _BLOCK_ROWS = 4096  # records drawn or written, or csv.reader rows converted, at a time
 # characters read at a time, each block ended at the next line end; under csv's default field size
 # limit (131072), so a block of ordinary rows needs no field length check
@@ -325,12 +313,8 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
     jitter_rng, congested_rng, attacked_rng, type_rng, vehicle_rng, delay_rng, drops_rng, interval_rng = streams
     jitter = jitter_rng.normal(0.0, config.vehicle_jitter_sigma, config.n_vehicles)
-    mix = np.asarray(config.attack_mix, dtype=float)
-    cum_mix = np.cumsum(mix / mix.sum())
-    # indexed by 2 * attacked + congested
-    cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
     delay_mu, delay_sigma, drop_rate, interval_mu, interval_sigma = np.array(
-        [(c.delay_mu, c.delay_sigma, c.drop_rate, c.interval_mu, c.interval_sigma) for c in cells]
+        [list(vars(getattr(config, cell)).values()) for cell in _CELL_NAMES]
     ).T
     rate_faults = [_poisson_fault(drops_rng, rate) for rate in drop_rate.tolist()]
     rejected = np.array([fault is not None for fault in rate_faults])
@@ -340,7 +324,7 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
         m = min(_BLOCK_ROWS, config.n_records - start)
         congested = congested_rng.random(m) < config.congested_fraction
         attacked = attacked_rng.random(m) < config.attack_fraction
-        codes = np.where(attacked, cum_mix.searchsorted(type_rng.random(m), side="right") + 1, 0)
+        codes = np.where(attacked, _attack_type_index(config.attack_mix, type_rng.random(m)) + 1, 0)
         vehicle = (vehicle_rng.random(m) * config.n_vehicles).astype(np.intp)
         cell = 2 * attacked + congested
         # an overflowing draw gives inf or NaN, which the table's check rejects
@@ -358,6 +342,16 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
         if n < m:
             raise ConfigError(f"scenario draws an invalid record {start + n}: {rate_faults[cell[n]]}")
     return _concat(tables)
+
+
+def _attack_type_index(mix: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """The ``ATTACK_TYPES`` index of each uniform ``u`` in [0, 1), through the cumulative ``mix``.
+
+    Capped at the last type of positive weight, as the rounded cumulative sum can end just below 1.
+    """
+    weights = np.asarray(mix, dtype=float)
+    index = np.cumsum(weights / weights.sum()).searchsorted(u, side="right")
+    return np.minimum(index, np.flatnonzero(weights)[-1])
 
 
 def _poisson_fault(stream: np.random.Generator, rate: float) -> str | None:
@@ -388,7 +382,7 @@ def write_csv(table: TrafficTable, path: str | Path) -> None:
             ))))
 
 
-_TYPE_CODES = {t.value: code for t, code in _ATTACK_CODES.items()}
+_TYPE_CODES = {t.value: code for code, t in enumerate(AttackType)}  # NONE is 0
 # the _ROW_TAILS index of each (congested, attack_type, label) that write_csv writes
 _TAIL_INDEX = {tuple(tail[:-1].split(",")): i for i, tail in enumerate(_ROW_TAILS)}
 _FLAGS = {"0": False, "1": True}
@@ -426,21 +420,25 @@ def _row_fault(row: list[str]) -> str | None:
     return None
 
 
-def _table_of(columns: Iterable[Sequence[str]]) -> TrafficTable:
-    """The table of six string columns in CSV order, taken from rows that ``_row_fault`` accepted.
-
-    Those rows hold only fields that convert, and labels that agree with
-    their attack types, so the label column is not read.
-    """
-    delay_s, drops_s, interval_s, flag_s, type_s, _ = columns
+def _table_of(delay_s: Sequence[str], drops_s: Sequence[str], interval_s: Sequence[str], congested, codes):
+    """The table of the delay, drop and interval fields, converted with ``float`` and ``int``, and the decoded rest."""
     n = len(delay_s)
     return TrafficTable(
         np.fromiter(map(float, delay_s), np.float64, n),
         np.fromiter(map(int, drops_s), np.int64, n),
         np.fromiter(map(float, interval_s), np.float64, n),
-        np.fromiter(map(_FLAGS.__getitem__, flag_s), np.bool_, n),
-        np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n),
+        congested,
+        codes,
     )
+
+
+def _rows_table(rows: list[list[str]]) -> TrafficTable:
+    """The table of csv rows that ``_row_fault`` accepted; their labels agree with their types, so are not read."""
+    delay_s, drops_s, interval_s, flag_s, type_s, _ = zip(*rows) if rows else ((),) * 6
+    n = len(rows)
+    congested = np.fromiter(map(_FLAGS.__getitem__, flag_s), np.bool_, n)
+    codes = np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n)
+    return _table_of(delay_s, drops_s, interval_s, congested, codes)
 
 
 def _plain_block(text: str) -> TrafficTable | None:
@@ -464,14 +462,7 @@ def _plain_block(text: str) -> TrafficTable | None:
     del fields  # free the block's fields before the conversions allocate
     try:
         tails = np.fromiter(map(_TAIL_INDEX.__getitem__, zip(*tail_s)), np.int8, n)
-        congested, codes = np.divmod(tails, len(AttackType))
-        return TrafficTable(
-            np.fromiter(map(float, delay_s), np.float64, n),
-            np.fromiter(map(int, drops_s), np.int64, n),
-            np.fromiter(map(float, interval_s), np.float64, n),
-            congested,
-            codes,
-        )
+        return _table_of(delay_s, drops_s, interval_s, *np.divmod(tails, len(AttackType)))
     except (KeyError, ValueError, OverflowError):
         return None
 
@@ -502,36 +493,25 @@ def read_csv(path: str | Path) -> TrafficTable:
                     raise ParseError(f"line {line}: {fault}")
                 rows.append(row)
                 if len(rows) == _BLOCK_ROWS:
-                    tables.append(_table_of(zip(*rows)))
+                    tables.append(_rows_table(rows))
                     rows = []
             line = first + reader.line_num
-    tables.append(_table_of(zip(*rows) if rows else ((),) * 6))
+    tables.append(_rows_table(rows))
     return _concat(tables)
 
 
-_CELL_NAMES = ("normal_uncongested", "normal_congested", "attack_uncongested", "attack_congested")
+def json_default(value):
+    """``json.dumps``'s ``default`` for configs: a dataclass encodes as the dict of its fields, an enum as its value."""
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    cells = {name: getattr(config, name) for name in _CELL_NAMES}
-    out = {
-        "n_records": config.n_records,
-        "n_vehicles": config.n_vehicles,
-        "attack_fraction": config.attack_fraction,
-        "congested_fraction": config.congested_fraction,
-        "attack_mix": list(config.attack_mix),
-        "vehicle_jitter_sigma": config.vehicle_jitter_sigma,
-        "seed": config.seed,
-    }
-    for name, cell in cells.items():
-        out[name] = {
-            "delay_mu": cell.delay_mu,
-            "delay_sigma": cell.delay_sigma,
-            "drop_rate": cell.drop_rate,
-            "interval_mu": cell.interval_mu,
-            "interval_sigma": cell.interval_sigma,
-        }
-    return out
+    """The config as JSON data, encoded as its config digest encodes it."""
+    return json.loads(json.dumps(config, default=json_default))
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

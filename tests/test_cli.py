@@ -15,7 +15,6 @@ from splineids import cli
 from splineids.experiment import (
     ExperimentConfig,
     ModelKind,
-    delays_and_labels,
     fit_models,
     load_model,
     score_model,
@@ -310,6 +309,20 @@ class TestUnusableDataIs2:
         assert code == 2, err
         assert_one_error_line(err)
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "experiment", "curves"])
+    def test_csv_without_records(self, trained, tmp_path, command):
+        data = tmp_path / "empty.csv"
+        data.write_text(HEADER + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "train": ("train", "--data", data, "--model", "linear", "--save", out),
+            "evaluate": ("evaluate", "--load", trained[1], "--data", data),
+            "experiment": ("experiment", "--data", data),
+            "curves": ("curves", "--data", data, "--out", out),
+        }[command]
+        assert main_in_process(*argv) == (2, "", f"splineids: data error: {data} holds no records\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["experiment", "train"])
     def test_one_class_training_labels(self, tmp_path, command):
         cfg = tmp_path / "scenario.json"
@@ -465,9 +478,10 @@ def test_train_evaluate_match_fit_and_score(trained, tmp_path, kind):
     assert code == 0, err
 
     config = ExperimentConfig(data_csv=str(train_csv), knot_probs=(0.2, 0.5, 0.8), models=(kind,))
-    model = fit_models(config, *delays_and_labels(read_csv(train_csv))).models[kind]
+    train, fresh = read_csv(train_csv), read_csv(fresh_csv)
+    model = fit_models(config, train.packet_delay_ms, train.label).models[kind]
     assert load_model(model_path) == model
-    cm, clamped = score_model(model, *delays_and_labels(read_csv(fresh_csv)), 0.4)
+    cm, clamped = score_model(model, fresh.packet_delay_ms, fresh.label, 0.4)
     fields = dict(line.split(": ") for line in out.splitlines())
     printed = tuple(int(fields[k]) for k in ("n", "tp", "fp", "tn", "fn", "clamped_points"))
     assert printed == (cm.total, cm.tp, cm.fp, cm.tn, cm.fn, clamped)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from splineids.experiment import (
     ModelKind,
     basis_spec_for,
     config_digest,
-    delays_and_labels,
     emit_curves,
     fit_models,
     emit_report,
@@ -22,10 +22,9 @@ from splineids.experiment import (
     save_model,
     score_model,
     split_train_test,
-    write_curves_csv,
 )
 from splineids.logistic import build_design_matrix, fit_logistic, predict_prob
-from splineids.simulate import ScenarioConfig, generate_dataset
+from splineids.simulate import ScenarioConfig, generate_dataset, scenario_from_dict
 from splineids.splines import quantile_knots
 
 
@@ -124,6 +123,53 @@ class TestRunExperiment:
             ExperimentConfig(congestion_filter="busy")
 
 
+
+class TestConfigDigest:
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (ExperimentConfig(), "27535238e8dea9fe"),
+            (ExperimentConfig(scenario=ScenarioConfig(n_records=600, seed=5)), "ba4b0698c52a808c"),
+            (
+                ExperimentConfig(data_csv="data/traffic.csv", models=(ModelKind.BSPLINE,), knot_probs=(0.3, 0.6)),
+                "3b9ebe842cea6047",
+            ),
+            (
+                ExperimentConfig(
+                    scenario=scenario_from_dict(
+                        {"attack_mix": [1, 2, 3, 4], "attack_congested": {"drop_rate": 3.5}}
+                    )
+                ),
+                "8402c9793ff48495",
+            ),
+            (ExperimentConfig(congestion_filter="congested"), "b91588823c0d05c5"),
+        ],
+        ids=["default", "scenario", "csv", "partial_scenario", "congested"],
+    )
+    def test_digest_is_pinned(self, config, digest):
+        assert config_digest(config) == digest
+
+    def test_every_field_changes_the_digest(self):
+        base = ExperimentConfig()
+        changed = {
+            "data_csv": "data.csv",
+            "scenario": ScenarioConfig(seed=1),
+            "split_ratio": 0.7,
+            "split_seed": 1,
+            "knot_probs": (0.5,),
+            "models": (ModelKind.LOGISTIC,),
+            "threshold": 0.4,
+            "bspline_degree": 2,
+            "congestion_filter": "uncongested",
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        digests = {config_digest(dataclasses.replace(base, **{name: value})) for name, value in changed.items()}
+        assert len(digests | {config_digest(base)}) == len(changed) + 1
+
+    def test_unset_scenario_and_default_scenario_differ(self):
+        assert config_digest(ExperimentConfig()) != config_digest(ExperimentConfig(scenario=ScenarioConfig()))
+
+
 class TestReportRendering:
     def test_text_mirrors_table_columns(self, default_report):
         text = render_report(default_report, "text")
@@ -176,7 +222,7 @@ class TestReportRendering:
 
 
 class TestCurves:
-    def test_grid_and_probability_range(self, tmp_path, default_report):
+    def test_grid_and_probability_range(self, default_report):
         bundle = emit_curves(ExperimentConfig(), grid_points=200)
         assert len(bundle.delays) == 200
         assert set(bundle.probabilities) == set(ALL_MODELS)
@@ -184,9 +230,7 @@ class TestCurves:
             assert probs.shape == (200,)
             assert np.all((probs > 0.0) & (probs < 1.0))
 
-        path = tmp_path / "curves.csv"
-        write_curves_csv(bundle, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = bundle.to_csv().splitlines()
         assert lines[0].startswith("# config_digest=")
         assert lines[1] == "delay_ms," + ",".join(m.value for m in ALL_MODELS)
         assert len(lines) == 2 + 200
@@ -303,7 +347,8 @@ class TestCurvesReuseTheRunFit:
 
 class TestFitModels:
     def test_domain_is_the_training_range(self):
-        x, y = delays_and_labels(generate_dataset(ScenarioConfig(n_records=200, seed=11)))
+        records = generate_dataset(ScenarioConfig(n_records=200, seed=11))
+        x, y = records.packet_delay_ms, records.label
         fitted = fit_models(ExperimentConfig(models=(ModelKind.BSPLINE,)), x, y)
         assert fitted.domain == (x.min(), x.max())
         assert fitted.models[ModelKind.BSPLINE].basis_spec.domain == fitted.domain
@@ -322,7 +367,8 @@ class TestFitModels:
 
 class TestScoreModel:
     def test_bspline_inputs_outside_domain_score_as_its_edges(self):
-        x, y = delays_and_labels(generate_dataset(ScenarioConfig(n_records=200, seed=11)))
+        records = generate_dataset(ScenarioConfig(n_records=200, seed=11))
+        x, y = records.packet_delay_ms, records.label
         config = ExperimentConfig(models=(ModelKind.LINEAR_SPLINE, ModelKind.BSPLINE))
         models = fit_models(config, x, y).models
         lo, hi = models[ModelKind.BSPLINE].basis_spec.domain

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from splineids import logistic
 from splineids.errors import EmptyDataError, NumericalError, OutOfDomainError, ShapeError
-from splineids.experiment import ALL_MODELS, ExperimentConfig, delays_and_labels, fit_models, split_train_test
+from splineids.experiment import ALL_MODELS, ExperimentConfig, fit_models, split_train_test
 from splineids.logistic import (
     LOGLIK_TOL,
     MAX_ITERATIONS,
@@ -203,7 +203,7 @@ class TestFitLogistic:
     def test_reported_loglik_is_the_exact_loglik_of_the_returned_beta(self, seed):
         config = ExperimentConfig()
         train, _ = split_train_test(generate_dataset(ScenarioConfig(seed=seed)), config.split_ratio, config.split_seed)
-        x, y = delays_and_labels(train)
+        x, y = train.packet_delay_ms, train.label
         fitted = fit_models(config, x, y)
         for kind in ALL_MODELS:
             dm = build_design_matrix(fitted.models[kind].basis_spec, x)
@@ -342,7 +342,7 @@ class TestIrlsOracle:
         train, _ = split_train_test(
             generate_dataset(ScenarioConfig(n_records=600, seed=seed)), config.split_ratio, config.split_seed
         )
-        x, y = delays_and_labels(train)
+        x, y = train.packet_delay_ms, train.label
         fitted = fit_models(config, x, y)
         for kind in ALL_MODELS:
             matrix = build_design_matrix(fitted.models[kind].basis_spec, x).matrix

@@ -147,10 +147,40 @@ extreme_reals = st.one_of(
 )
 
 
+class TestAttackTypeIndex:
+    """Each attack-type uniform maps through the cumulative mix onto a type of positive weight."""
+
+    top = 1 - 2**-53  # the largest uniform that Generator.random returns
+    uniforms = np.array([math.nextafter(top, 0.0), top])
+    mixes = np.random.default_rng(0).uniform(0.0, 10.0, (2000, 4))
+
+    def check(self, mix):
+        got = simulate._attack_type_index(tuple(mix), self.uniforms)
+        assert (mix[got] > 0).all()
+        cum_mix = np.cumsum(mix / mix.sum())
+        below = self.uniforms < cum_mix[-1]
+        # below the end of the cumulative mix the index is the plain search; at or above it, the last positive type
+        assert np.array_equal(got[below], cum_mix.searchsorted(self.uniforms[below], side="right"))
+        assert (got[~below] == np.flatnonzero(mix)[-1]).all()
+        return not below.all()
+
+    def test_random_mixes(self):
+        # 375 of the 2000 cumulative sums end at 1 - 2**-53 under numpy 2.4
+        assert sum(self.check(mix) for mix in self.mixes) > 0
+
+    @pytest.mark.parametrize("zeros", [1, 2, 3])
+    def test_mixes_with_trailing_zeros(self, zeros):
+        mixes = self.mixes.copy()
+        mixes[:, 4 - zeros :] = 0.0
+        ends_low = sum(self.check(mix) for mix in mixes)
+        # one positive weight gives a cumulative mix of exactly 1; under numpy 2.4, 308 and 229 end low at 1 and 2 zeros
+        assert (ends_low > 0) == (zeros < 3)
+
+
 class TestCsvRoundTrip:
     def test_empty_list(self, tmp_path):
         path = tmp_path / "empty.csv"
-        empty = TrafficTable.from_records([])
+        empty = TrafficTable([], [], [], [], [])
         write_csv(empty, path)
         assert path.read_text() == (
             "packet_delay_ms,packets_dropped,transfer_interval_ms,congested,attack_type,label\n"
@@ -190,9 +220,10 @@ class TestCsvRoundTrip:
             label=0 if attack is AttackType.NONE else 1,
         )
         path = tmp_path_factory.mktemp("rt") / "one.csv"
-        table = TrafficTable.from_records([record])
+        table = TrafficTable([delay], [drops], [interval], [congested], [list(AttackType).index(attack)])
         write_csv(table, path)
         assert read_csv(path) == table
+        assert list(read_csv(path)) == [record]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -273,6 +304,17 @@ class TestScenarioDicts:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             scenario_from_dict({"mystery": 1})
+
+    def test_default_scenario_dict_is_pinned(self):
+        assert json.dumps(scenario_to_dict(ScenarioConfig()), sort_keys=True) == (
+            '{"attack_congested": {"delay_mu": 3.35, "delay_sigma": 0.45, "drop_rate": 4.0, "interval_mu": 3.9, '
+            '"interval_sigma": 0.45}, "attack_fraction": 0.5, "attack_mix": [0.4, 0.3, 0.15, 0.15], '
+            '"attack_uncongested": {"delay_mu": 3.1, "delay_sigma": 0.4, "drop_rate": 2.5, "interval_mu": 3.7, '
+            '"interval_sigma": 0.4}, "congested_fraction": 0.3, "n_records": 600, "n_vehicles": 52, '
+            '"normal_congested": {"delay_mu": 1.25, "delay_sigma": 0.4, "drop_rate": 0.8, "interval_mu": 4.75, '
+            '"interval_sigma": 0.35}, "normal_uncongested": {"delay_mu": 1.0, "delay_sigma": 0.35, "drop_rate": 0.2, '
+            '"interval_mu": 4.6, "interval_sigma": 0.3}, "seed": 42, "vehicle_jitter_sigma": 0.05}'
+        )
 
     def test_unknown_cell_key_rejected(self):
         with pytest.raises(ConfigError, match="normal_uncongested"):
@@ -458,10 +500,18 @@ class TestTrafficTable:
         assert np.array_equal(self.table.label, (self.table.attack_code != 0).astype(np.int64))
 
     def test_rows_iterate_as_records(self):
-        records = list(self.table)
-        assert len(records) == len(self.table) == 50
-        assert TrafficTable.from_records(records) == self.table
-        assert records[3].packet_delay_ms == self.table.packet_delay_ms[3]
+        t = self.table
+        records = list(t)
+        assert len(records) == len(t) == 50
+        types = list(AttackType)
+        for i, r in enumerate(records):
+            assert type(r) is TrafficRecord
+            assert r.packet_delay_ms == t.packet_delay_ms[i] and type(r.packet_delay_ms) is float
+            assert r.packets_dropped == t.packets_dropped[i] and type(r.packets_dropped) is int
+            assert r.transfer_interval_ms == t.transfer_interval_ms[i] and type(r.transfer_interval_ms) is float
+            assert r.congested is bool(t.congested[i])
+            assert r.attack_type is types[t.attack_code[i]]
+            assert r.label == t.label[i] and type(r.label) is int
 
     def test_selection_and_equality(self):
         t = self.table
@@ -514,11 +564,6 @@ class TestTrafficTable:
     def test_columns_of_unequal_length(self):
         with pytest.raises(ValueError, match="1-D"):
             TrafficTable([1.0, 2.0], [0], [1.0], [False], [0])
-
-    def test_inconsistent_record_label(self):
-        record = TrafficRecord(1.0, 0, 1.0, False, AttackType.DOS, 0)
-        with pytest.raises(RowError, match="label 0 inconsistent with attack_type dos"):
-            TrafficTable.from_records([record])
 
     @pytest.mark.parametrize(
         "rows",
