@@ -12,7 +12,7 @@ delay and transfer interval float64, packet drops int64, the congestion flag
 bool, the attack type an int8 code into ``AttackType``), with the label
 derived from the attack code. The value rule ``_value_fault`` runs where
 values enter the program: building a table (from columns, from a generated
-block or from a CSV block) checks all its columns at once, while rows taken
+block or from CSV rows) checks all its columns at once, while rows taken
 from checked tables, by indexing or concatenation, are not checked again.
 Iterating a table yields :class:`TrafficRecord` rows.
 
@@ -35,33 +35,24 @@ No draw keeps words back for the next, so the records do not depend on
 ``_BLOCK_ROWS``. Earlier versions drew one record at a time from one stream,
 so a seed now names different records; CSV files they wrote still load.
 
-The CSV writer goes ``_BLOCK_ROWS`` rows at a time and the reader
-``_BLOCK_CHARS`` characters at a time, each block ended at the next line end,
-so neither holds the whole file as text. The order in which a CSV row's
-faults are checked lives in one per-row rule, ``_row_fault``.
-
-A plain row is a line that ends in a newline, has exactly six
-comma-separated fields, holds no quote, carriage return or NUL, and has no
-field longer than ``csv.field_size_limit()``; ``csv.reader`` splits it
-exactly as ``line[:-1].split(",")`` does. The reader splits a block of text
-with string operations and, when every line is a plain row, converts its
-columns: the (congested, attack_type, label) fields with one lookup among
-the ten triples that ``write_csv`` writes, the rest with ``_table_of``. From
-the first block that is not all plain rows, holds a triple that ``write_csv``
-does not write (a label spelt ``01``, say), or fails a check, every row goes
-through ``csv.reader`` and is checked by ``_row_fault`` as it is read; the
-first faulty row raises, and each ``_BLOCK_ROWS`` rows that pass are
-converted with ``_table_of`` too.
+The CSV writer goes ``_BLOCK_ROWS`` rows at a time, so it never holds the
+whole file as text. ``read_csv`` reads a plain file (no quote, carriage
+return, NUL or over-long line; see ``_plain_file``) with one ``np.loadtxt``
+call and decodes its (congested, attack_type, label) bytes against the
+spellings ``write_csv`` writes. Any other file, or one that ``loadtxt``
+refuses or whose rows fail a check, is read again from its first line with
+``csv.reader``: one per-row rule, ``_row_fault``, checks each row in a fixed
+order and converts its fields once, and the first faulty row raises with its
+file line.
 """
 
 import csv
-import io
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -270,6 +261,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lowest <= value <= highest:
                 raise ConfigError(f"{name} must be an integer in [{lowest}, {highest}], got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer would not encode as JSON
         for name, highest in (("attack_fraction", 1.0), ("congested_fraction", 1.0), ("vehicle_jitter_sigma", math.inf)):
             value = getattr(self, name)
             if not (_is_finite_number(value) and 0.0 <= value <= highest):
@@ -290,9 +282,6 @@ _CELL_NAMES = ("normal_uncongested", "normal_congested", "attack_uncongested", "
 
 
 _BLOCK_ROWS = 4096  # records drawn or written, or csv.reader rows converted, at a time
-# characters read at a time, each block ended at the next line end; under csv's default field size
-# limit (131072), so a block of ordinary rows needs no field length check
-_BLOCK_CHARS = 1 << 16
 
 
 def _concat(tables: Sequence[TrafficTable]) -> TrafficTable:
@@ -383,18 +372,22 @@ def write_csv(table: TrafficTable, path: str | Path) -> None:
 
 
 _TYPE_CODES = {t.value: code for code, t in enumerate(AttackType)}  # NONE is 0
-# the _ROW_TAILS index of each (congested, attack_type, label) that write_csv writes
-_TAIL_INDEX = {tuple(tail[:-1].split(",")): i for i, tail in enumerate(_ROW_TAILS)}
 _FLAGS = {"0": False, "1": True}
+_INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
+_HEADER_LINE = (CSV_HEADER + "\n").encode()
+# a row as loadtxt reads it; each tail field is wider than any spelling write_csv writes there, so a longer
+# spelling cut to the width still misses, and 2 or 8 bytes wide, so spellings compare as unsigned integers
+_ROW_DTYPE = np.dtype([*_COLUMNS[:3], ("congested", "S2"), ("attack_type", "S8"), ("label", "S2")])
 
 
-def _row_fault(row: list[str]) -> str | None:
-    """The first check the csv ``row`` fails, or None.
+def _row_fault(row: list[str], values: list[tuple]) -> str | None:
+    """The first check the csv ``row`` fails, or None once its converted values are appended to ``values``.
 
     The checks, in order: the field count, the attack type, the congested
     flag, the conversion of each numeric field (a drop count must also fit
     in int64), the value rule ``_value_fault``, then the label: 0 or 1, and
-    1 exactly when the record is an attack.
+    1 exactly when the record is an attack. The values appended are
+    (delay, drops, interval, congested, attack code).
     """
     if len(row) != 6:
         return f"expected 6 fields, got {len(row)}"
@@ -404,9 +397,10 @@ def _row_fault(row: list[str]) -> str | None:
     if flag_s not in _FLAGS:
         return f"congested must be 0 or 1, got '{flag_s}'"
     try:
-        delay, drops, interval, label = float(delay_s), np.int64(int(drops_s)), float(interval_s), int(label_s)
-    except OverflowError:  # only np.int64 overflows
-        return f"packets_dropped must fit in int64, got {drops_s}"
+        delay, drops = float(delay_s), int(drops_s)
+        if drops not in _INT64_RANGE:
+            return f"packets_dropped must fit in int64, got {drops_s}"
+        interval, label = float(interval_s), int(label_s)
     except ValueError as err:
         return str(err)
     code = _TYPE_CODES[type_s]
@@ -417,87 +411,88 @@ def _row_fault(row: list[str]) -> str | None:
         return f"label must be 0 or 1, got {label}"
     if label != (code != 0):
         return f"label {label} inconsistent with attack_type {type_s}"
+    values.append((delay, drops, interval, _FLAGS[flag_s], code))
     return None
 
 
-def _table_of(delay_s: Sequence[str], drops_s: Sequence[str], interval_s: Sequence[str], congested, codes):
-    """The table of the delay, drop and interval fields, converted with ``float`` and ``int``, and the decoded rest."""
-    n = len(delay_s)
-    return TrafficTable(
-        np.fromiter(map(float, delay_s), np.float64, n),
-        np.fromiter(map(int, drops_s), np.int64, n),
-        np.fromiter(map(float, interval_s), np.float64, n),
-        congested,
-        codes,
-    )
+def _read_rows(path: str | Path) -> TrafficTable:
+    """Read ``path`` with ``csv.reader``; the first row ``_row_fault`` rejects raises, named by its first file line."""
+    tables, values = [], []
+    # undecodable bytes fail the field checks, which name their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or ",".join(header) != CSV_HEADER:
+            raise ParseError(f"line 1: expected header '{CSV_HEADER}'")
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                fault = _row_fault(row, values)
+                if fault is not None:
+                    raise ParseError(f"line {line}: {fault}")
+                if len(values) == _BLOCK_ROWS:
+                    tables.append(TrafficTable(*zip(*values)))
+                    values = []
+            line = reader.line_num + 1  # a quoted field may hold newlines
+    tables.append(TrafficTable(*(zip(*values) if values else [()] * len(_COLUMNS))))
+    return _concat(tables)
 
 
-def _rows_table(rows: list[list[str]]) -> TrafficTable:
-    """The table of csv rows that ``_row_fault`` accepted; their labels agree with their types, so are not read."""
-    delay_s, drops_s, interval_s, flag_s, type_s, _ = zip(*rows) if rows else ((),) * 6
-    n = len(rows)
-    congested = np.fromiter(map(_FLAGS.__getitem__, flag_s), np.bool_, n)
-    codes = np.fromiter(map(_TYPE_CODES.__getitem__, type_s), np.int8, n)
-    return _table_of(delay_s, drops_s, interval_s, congested, codes)
+def _plain_file(path: str | Path) -> bool:
+    """Whether ``path`` opens with the header line and has no quote, CR or NUL byte and no over-long line.
 
-
-def _plain_block(text: str) -> TrafficTable | None:
-    """The table of ``text`` if it is whole plain rows (see the module docstring), or None.
-
-    None also when a field fails a conversion or a check, or a row's tail is
-    not one that ``write_csv`` writes, so that the ``csv.reader`` path reads
-    it.
+    A line is over-long when it has more bytes than ``csv.field_size_limit()``.
+    In a plain file ``csv.reader`` splits each line at its commas, as ``np.loadtxt`` does.
     """
-    if not text.endswith("\n") or '"' in text or "\r" in text or "\0" in text:
-        return None
-    n = text.count("\n")
-    # each newline becomes a field of its own, so the newline of line k must be field 7k + 6
-    fields = text.replace("\n", ",\n,").split(",")
-    if len(fields) != 7 * n + 1 or fields[6::7].count("\n") != n:
-        return None
-    limit = csv.field_size_limit()  # only a text longer than the limit can hold a longer field
-    if len(text) > limit and max(map(len, fields)) > limit:
-        return None
-    delay_s, drops_s, interval_s, *tail_s = (fields[i : 7 * n : 7] for i in range(6))
-    del fields  # free the block's fields before the conversions allocate
-    try:
-        tails = np.fromiter(map(_TAIL_INDEX.__getitem__, zip(*tail_s)), np.int8, n)
-        return _table_of(delay_s, drops_s, interval_s, *np.divmod(tails, len(AttackType)))
-    except (KeyError, ValueError, OverflowError):
-        return None
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
+            return False
+        run = 0  # the bytes since the last newline, the start of a line that may go on into the next chunk
+        while chunk := fh.read(min(limit, 1 << 20)):  # a line inside one chunk is never over-long
+            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                return False
+            first = chunk.find(b"\n")
+            if run + (len(chunk) if first < 0 else first) > limit:
+                return False
+            run = run + len(chunk) if first < 0 else len(chunk) - 1 - chunk.rfind(b"\n")
+    return True
+
+
+def _spelling_codes(column: np.ndarray, spellings: Iterable[str]) -> np.ndarray:
+    """The index in ``spellings`` of each byte string in ``column``, or -1 where it is none of them."""
+    as_int = np.dtype(f"u{column.itemsize}")
+    words, codes = column.view(as_int), np.full(len(column), -1, np.int8)
+    for code, value in enumerate(np.array([s.encode() for s in spellings], column.dtype).view(as_int)):
+        codes[words == value] = code
+    return codes
 
 
 def read_csv(path: str | Path) -> TrafficTable:
-    """Read a table written by :func:`write_csv`; errors carry the file line number."""
-    tables, rows, line = [], [], 2
-    # undecodable bytes fail the field checks, which name their line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or ",".join(header) != CSV_HEADER:
-            raise ParseError(f"line 1: expected header '{CSV_HEADER}'")
-        while text := fh.read(_BLOCK_CHARS):
-            if not text.endswith("\n"):
-                text += fh.readline()  # end the block at a line end
-            if (table := _plain_block(text)) is None:
-                break
-            tables.append(table)
-            line += len(table)
-        # from the first block that is not plain, or fails a check, to the end of the file, each
-        # row is checked as it is read; a row is numbered by the file line it starts on, as a
-        # quoted field may hold newlines
-        reader, first = csv.reader(chain(io.StringIO(text, newline=""), fh)), line
-        for row in reader:
-            if row:
-                fault = _row_fault(row)
-                if fault is not None:
-                    raise ParseError(f"line {line}: {fault}")
-                rows.append(row)
-                if len(rows) == _BLOCK_ROWS:
-                    tables.append(_rows_table(rows))
-                    rows = []
-            line = first + reader.line_num
-    tables.append(_rows_table(rows))
-    return _concat(tables)
+    """Read a table written by :func:`write_csv`; errors carry the file line number.
+
+    A plain file (see ``_plain_file``) is read by one ``np.loadtxt`` call,
+    and its real and drop-count columns are views of the rows read. Any
+    other file, or a plain one that ``loadtxt`` refuses or warns on, with a
+    tail that ``write_csv`` does not write or a value that fails the table's
+    check, is read again from its first line by ``_read_rows``.
+    """
+    if Path(path).is_file() and _plain_file(path):  # a pipe can be read only once, so only by csv.reader
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a file with no rows
+                rows = np.loadtxt(
+                    path, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=1
+                )
+            flags, codes, labels = (
+                _spelling_codes(rows[name], spellings)
+                for name, spellings in (("congested", _FLAGS), ("attack_type", _TYPE_CODES), ("label", _FLAGS))
+            )
+            if ((flags >= 0) & (codes >= 0) & (labels == (codes > 0))).all():
+                return TrafficTable(*(rows[name] for name, _ in _COLUMNS[:3]), flags, codes)
+        except (ValueError, Warning):  # UnicodeDecodeError and RowError are ValueErrors
+            pass
+    return _read_rows(path)
 
 
 def json_default(value):

@@ -166,6 +166,12 @@ class TestConfigDigest:
         digests = {config_digest(dataclasses.replace(base, **{name: value})) for name, value in changed.items()}
         assert len(digests | {config_digest(base)}) == len(changed) + 1
 
+    def test_numpy_integer_counts_and_seed_give_the_python_int_digest(self):
+        counts = {"n_records": 300, "n_vehicles": 7, "seed": 3}
+        numpy_config = ExperimentConfig(scenario=ScenarioConfig(**{k: np.int64(v) for k, v in counts.items()}))
+        assert config_digest(numpy_config) == config_digest(ExperimentConfig(scenario=ScenarioConfig(**counts)))
+        assert all(type(getattr(numpy_config.scenario, name)) is int for name in counts)
+
     def test_unset_scenario_and_default_scenario_differ(self):
         assert config_digest(ExperimentConfig()) != config_digest(ExperimentConfig(scenario=ScenarioConfig()))
 

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import tracemalloc
+import warnings
 from bisect import bisect_right
 from unittest import mock
 
@@ -237,11 +239,9 @@ class TestCsvRoundTrip:
         table = TrafficTable(*columns)
         path = tmp_path_factory.mktemp("rt") / "table.csv"
         write_csv(table, path)
-        with mock.patch.object(simulate, "_BLOCK_CHARS", 150), mock.patch.object(
-            simulate, "_row_fault", wraps=simulate._row_fault
-        ) as row_fault:
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
             result = read_csv(path)
-        # no row of a written file leaves the plain path
+        # no written file leaves the loadtxt path
         assert row_fault.call_count == 0
         for name, dtype in simulate._COLUMNS:
             got, want = getattr(result, name), getattr(table, name)
@@ -646,6 +646,14 @@ def oracle_read_csv(path):
     return columns
 
 
+def result_or_csv_error(reader, path):
+    """``outcome(reader, path)``, or the text of the csv.Error it raises."""
+    try:
+        return outcome(reader, path)
+    except csv.Error as err:
+        return f"csv.Error: {err}"
+
+
 def outcome(reader, path):
     """The columns ``reader`` returns as lists, or the message of its ParseError."""
     try:
@@ -662,6 +670,9 @@ ATTACK_ROW = ["30.25", "3", "40.5", "1", "dos", "1"]
 JUNK = [
     "abc", '"1.5"', '"a,b"', '"', "nan", "inf", "-inf", "-0", "1_0", " 3", "", "1e400", "-1", "2",
     "0", "1", "none", "dos", "worm", "\udcff", "1.5\udcfe", "+1", "01", "0x10", "1e-320", "\r", "\x00",
+    # loadtxt pitfalls: bytes fields drop a trailing NUL and cut a long spelling; loadtxt refuses an int
+    # spelt as a real, and a # line is data
+    "0\x00", "probeXX", "2.0", "1e3", "+2", " 0", "#", "#2.5", "\xe9", "\xa02.5",
 ]
 
 row_strategy = st.one_of(
@@ -700,11 +711,11 @@ def csv_text(edits=(), end="\n"):
     return CSV_HEADER + "\n" + "".join(lines)
 
 
-# a block of 80 characters holds four of PLAIN_ROWS, ended at the next line end
-FOUR_ROWS = 80
+# rows converted at a time on the csv.reader path in the tests that set it, so twelve rows make three blocks
+FOUR_ROWS = 4
 
-# CSVs in which some line is not a plain row, or a plain block holds a fault; read FOUR_ROWS to a block
-QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6, two blocks
+# CSVs that are not plain files (see simulate._plain_file), or plain ones with a faulty row
+QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6
 OFF_PLAIN_PATH = {
     "crlf": csv_text(end="\r\n"),
     "lone_cr": csv_text({5: PLAIN_ROWS[5] + "\r"}),
@@ -721,9 +732,37 @@ OFF_PLAIN_PATH = {
     "oversized_delay": csv_text({6: "1." + "0" * 140_000 + PLAIN_ROWS[6][5:] + "\n"}),
 }
 
+# CSVs on which np.loadtxt and the csv.reader path were seen to part, or might
+LOADTXT_PITFALLS = {
+    "label_then_nul": csv_text({4: PLAIN_ROWS[4][:-1] + "0\x00\n"}),  # loadtxt reads the label as b"0"
+    # loadtxt cuts a bytes field to its width: probeXXXX reads as b"probeXXX"
+    "type_cut_to_its_width": csv_text({3: PLAIN_ROWS[3].replace("dos", "probeXXXX") + "\n"}),
+    "label_cut_to_its_width": csv_text({3: PLAIN_ROWS[3][:-1] + "1XX\n"}),
+    "header_only": CSV_HEADER + "\n",  # loadtxt warns that the input holds no data
+    "hash_line": csv_text({5: "# a comment\n"}),
+    "hash_field": csv_text({5: "#" + PLAIN_ROWS[5] + "\n"}),
+    **{
+        f"drops_{name}": csv_text({7: PLAIN_ROWS[7].replace(",1,", f",{spelling},") + "\n"})
+        for name, spelling in (("real", "2.0"), ("exponent", "1e3"), ("underscore", "1_0"), ("plus", "+2"))
+    },
+    "space_before_flag": csv_text({2: PLAIN_ROWS[2].replace(",0,none,", ", 0,none,") + "\n"}),
+    "space_before_label": csv_text({2: PLAIN_ROWS[2][:-1] + " 0\n"}),
+    "space_after_type": csv_text({2: PLAIN_ROWS[2].replace("none", "none ") + "\n"}),
+    "space_only_line": csv_text({2: "   \n"}),
+    "spaces_around_reals": csv_text({2: PLAIN_ROWS[2].replace("2.5,", " 2.5 ,").replace("90.0", "\xa090.0") + "\n"}),
+    "lone_cr_in_a_field": csv_text({8: PLAIN_ROWS[8].replace("90.0", "90\r.0") + "\n"}),
+    "invalid_utf8_label": csv_text({9: PLAIN_ROWS[9][:-1] + "\udcff\n"}),
+    "invalid_utf8_delay": csv_text({9: "2\udcfe" + PLAIN_ROWS[9][1:] + "\n"}),
+    "latin1_label": csv_text({9: PLAIN_ROWS[9][:-1] + "\xe9\n"}),
+    "oversized_label": csv_text({10: PLAIN_ROWS[10][:-1] + "0" * 140_000 + "\n"}),
+    # a line past the csv field size limit whose fields are all within it reads on the csv.reader path
+    "long_line_of_short_fields": csv_text({10: "2." + "5" * 70_000 + ",1,9." + "0" * 70_000 + ",0,none,0\n"}),
+    "delay_out_of_range": csv_text({11: "1e400" + PLAIN_ROWS[11][3:] + "\n"}),
+}
+
 
 class TestReaderParity:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(rows=st.lists(row_strategy, max_size=12), mutations=st.lists(mutation_strategy, max_size=4))
     def test_mutated_csv_matches_the_per_row_reader(self, tmp_path_factory, rows, mutations):
         rows = [list(row) for row in rows]
@@ -743,16 +782,13 @@ class TestReaderParity:
                 rows[at].append(args[0])
         path = tmp_path_factory.mktemp("parity") / "data.csv"
         write_rows(path, rows)
-        expected = outcome(oracle_read_csv, path)
-        for block_chars in range(1, 81):
-            with mock.patch.object(simulate, "_BLOCK_CHARS", block_chars):
-                assert outcome(read_csv, path) == expected, block_chars
+        assert outcome(read_csv, path) == outcome(oracle_read_csv, path)
 
     @pytest.mark.parametrize("blank", [None, 2, 3, 4])
     @pytest.mark.parametrize("bad", [2, 3, 4, 5, 9])
     @pytest.mark.parametrize("fault", [("0", "-1.0"), ("4", "worm"), ("1", "x")], ids=["value", "token", "convert"])
     def test_fault_beside_a_block_boundary(self, tmp_path, monkeypatch, blank, bad, fault):
-        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
         rows = [list(VALID_ROW) for _ in range(12)]
         rows[bad][int(fault[0])] = fault[1]
         rows[bad + 2][0] = "-5"  # a later fault, maybe in the next block, must not win
@@ -766,22 +802,22 @@ class TestReaderParity:
 
     @pytest.mark.parametrize("text", OFF_PLAIN_PATH.values(), ids=OFF_PLAIN_PATH.keys())
     def test_rows_off_the_plain_path(self, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
+        assert result_or_csv_error(read_csv, path) == result_or_csv_error(oracle_read_csv, path)
 
-        def result(reader):
-            try:
-                return outcome(reader, path)
-            except csv.Error as err:
-                return f"csv.Error: {err}"
+    @pytest.mark.parametrize("text", LOADTXT_PITFALLS.values(), ids=LOADTXT_PITFALLS.keys())
+    def test_loadtxt_pitfalls_match_the_per_row_reader(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert result_or_csv_error(read_csv, path) == result_or_csv_error(oracle_read_csv, path)
 
-        assert result(read_csv) == result(oracle_read_csv)
-
-    @pytest.mark.parametrize("block_chars", [FOUR_ROWS, simulate._BLOCK_CHARS], ids=["four_rows", "default"])
-    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_chars):
+    @pytest.mark.parametrize("block_rows", [FOUR_ROWS, simulate._BLOCK_ROWS], ids=["four_rows", "default"])
+    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_rows):
         # the attack label of row 3 spans file lines 5 and 6, so the faulty row 9 is on file line 12
-        monkeypatch.setattr(simulate, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
         path = tmp_path / "data.csv"
         path.write_bytes(OFF_PLAIN_PATH["quoted_newline_then_fault"].encode())
         for reader in (read_csv, oracle_read_csv):
@@ -790,7 +826,7 @@ class TestReaderParity:
 
     @pytest.mark.parametrize("blanks", [(), (3,), (3, 4), (0, 7)])
     def test_blank_lines_beside_a_block_boundary(self, tmp_path, monkeypatch, blanks):
-        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
         rows = [list(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(9)]
         for at in blanks:
             rows.insert(at, None)
@@ -800,7 +836,7 @@ class TestReaderParity:
         assert len(read_csv(path)) == 9
 
     def test_fault_before_an_unreadable_row_is_reported_first(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_CHARS", FOUR_ROWS)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
         rows = [list(VALID_ROW) for _ in range(6)]
         rows[5][0] = "-1"
         rows.append(["1", "0" * 140_000, "1", "0", "none", "0"])  # past the csv field size limit
@@ -813,11 +849,11 @@ class TestReaderParity:
         with pytest.raises(csv.Error):
             read_csv(path)
 
-    @pytest.mark.parametrize("block_chars", [FOUR_ROWS, simulate._BLOCK_CHARS], ids=["four_rows", "default"])
+    @pytest.mark.parametrize("block_rows", [FOUR_ROWS, simulate._BLOCK_ROWS], ids=["four_rows", "default"])
     @pytest.mark.parametrize("field, spelling", [(5, " 1"), (5, "01"), (5, "+1"), (1, "+2")])
-    def test_valid_spellings_a_writer_never_writes(self, tmp_path, monkeypatch, block_chars, field, spelling):
-        # int() reads each spelling; a label spelt so misses the tail lookup and leaves the plain path
-        monkeypatch.setattr(simulate, "_BLOCK_CHARS", block_chars)
+    def test_valid_spellings_a_writer_never_writes(self, tmp_path, monkeypatch, block_rows, field, spelling):
+        # int() reads each spelling; a label spelt so misses the tail decoding and is read by csv.reader
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
         rows = [list(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(12)]
         rows[9][field] = spelling
         path = tmp_path / "data.csv"
@@ -827,14 +863,42 @@ class TestReaderParity:
         assert outcome(read_csv, path) == expected
 
     def test_tail_lookup_holds_exactly_the_tails_the_writer_writes(self, tmp_path):
+        # each of the ten tails write_csv writes decodes on the loadtxt path; a label spelt 01 does not
         flags, codes = zip(*((c, code) for c in (False, True) for code in range(len(AttackType))))
         table = TrafficTable([1.0] * 10, [0] * 10, [1.0] * 10, flags, codes)
         path = tmp_path / "tails.csv"
         write_csv(table, path)
         with open(path, newline="") as fh:
-            tails = [tuple(row[3:]) for row in list(csv.reader(fh))[1:]]
-        assert set(simulate._TAIL_INDEX) == set(tails)
-        assert [simulate._TAIL_INDEX[t] for t in tails] == [len(AttackType) * c + code for c, code in zip(flags, codes)]
+            tails = [",".join(row[3:]) + "\n" for row in list(csv.reader(fh))[1:]]
+        assert sorted(tails) == sorted(simulate._ROW_TAILS)
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+            assert read_csv(path) == table
+        assert row_fault.call_count == 0
+        path.write_text(path.read_text().replace("dos,1\n", "dos,01\n"))
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+            assert read_csv(path) == table
+        assert row_fault.call_count == 10
+
+    def test_header_only_file_reads_without_a_warning(self, tmp_path):
+        # loadtxt warns on a file with no rows; the warning must not reach a caller that shows warnings
+        path = tmp_path / "data.csv"
+        path.write_text(CSV_HEADER + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(read_csv(path)) == 0
+        assert caught == []
+
+    def test_a_pipe_is_read_once(self, tmp_path):
+        # a second read of the pipe would find it empty, and the file would seem to have no header
+        table = generate_dataset(ScenarioConfig(n_records=50, seed=4))
+        write_csv(table, tmp_path / "data.csv")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (tmp_path / "data.csv").read_bytes())  # under a pipe's buffer, so it does not block
+            os.close(write_end)
+            assert read_csv(f"/dev/fd/{read_end}") == table
+        finally:
+            os.close(read_end)
 
     def test_drop_count_outside_int64_names_its_line(self, tmp_path):
         # the per-row reader accepted any Python int here
