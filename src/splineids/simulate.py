@@ -36,11 +36,11 @@ No draw keeps words back for the next, so the records do not depend on
 so a seed now names different records; CSV files they wrote still load.
 
 The CSV writer goes ``_BLOCK_ROWS`` rows at a time, so it never holds the
-whole file as text. ``read_csv`` reads a plain file (no quote, carriage
-return, NUL or over-long line; see ``_plain_file``) with one ``np.loadtxt``
-call and decodes its (congested, attack_type, label) bytes against the
-spellings ``write_csv`` writes. Any other file, or one that ``loadtxt``
-refuses or whose rows fail a check, is read again from its first line with
+whole file as text. ``read_csv`` reads a plain file (no quote, NUL or
+over-long line; see ``_plain_file``) with one ``np.loadtxt`` call and
+decodes its (congested, attack_type, label) bytes against the spellings
+``write_csv`` writes. Any other file, or one that ``loadtxt`` refuses or
+whose rows fail a check, is read again from its first line with
 ``csv.reader``: one per-row rule, ``_row_fault``, checks each row in a fixed
 order and converts its fields once, and the first faulty row raises with its
 file line.
@@ -186,7 +186,9 @@ class TrafficTable:
 
     @property
     def nbytes(self) -> int:
-        return sum(column.nbytes for column in self._columns())
+        """The bytes the columns keep alive: the buffer a column views, counted once, in place of the column."""
+        buffers = {id(b): b for b in (column if column.base is None else column.base for column in self._columns())}
+        return sum(buffer.nbytes for buffer in buffers.values())
 
     def __len__(self) -> int:
         return len(self.packet_delay_ms)
@@ -439,18 +441,19 @@ def _read_rows(path: str | Path) -> TrafficTable:
 
 
 def _plain_file(path: str | Path) -> bool:
-    """Whether ``path`` opens with the header line and has no quote, CR or NUL byte and no over-long line.
+    """Whether ``path`` opens with the header line and has no quote or NUL byte and no over-long line.
 
     A line is over-long when it has more bytes than ``csv.field_size_limit()``.
-    In a plain file ``csv.reader`` splits each line at its commas, as ``np.loadtxt`` does.
+    In a plain file ``csv.reader`` splits each line at its commas, as ``np.loadtxt``
+    does, and both end a line at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
-        if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
+        if fh.readline(len(_HEADER_LINE) + 1) not in (_HEADER_LINE, _HEADER_LINE[:-1] + b"\r\n"):
             return False
         run = 0  # the bytes since the last newline, the start of a line that may go on into the next chunk
         while chunk := fh.read(min(limit, 1 << 20)):  # a line inside one chunk is never over-long
-            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+            if b'"' in chunk or b"\0" in chunk:
                 return False
             first = chunk.find(b"\n")
             if run + (len(chunk) if first < 0 else first) > limit:
@@ -479,11 +482,10 @@ def read_csv(path: str | Path) -> TrafficTable:
     """
     if Path(path).is_file() and _plain_file(path):  # a pipe can be read only once, so only by csv.reader
         try:
-            with warnings.catch_warnings():
+            # an open file, as loadtxt would pick a decompressor by the suffix of a path
+            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on a file with no rows
-                rows = np.loadtxt(
-                    path, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=1
-                )
+                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1)
             flags, codes, labels = (
                 _spelling_codes(rows[name], spellings)
                 for name, spellings in (("congested", _FLAGS), ("attack_type", _TYPE_CODES), ("label", _FLAGS))

@@ -598,6 +598,15 @@ class TestTrafficTable:
         with pytest.raises(ValueError, match="1-D"):
             self.table[index]
 
+    def test_nbytes_counts_the_buffers_the_columns_keep(self, tmp_path):
+        assert self.table.nbytes == 26 * len(self.table)
+        assert self.table[2:5].nbytes == self.table.nbytes  # a slice keeps its columns alive
+        path = tmp_path / "data.csv"
+        write_csv(self.table, path)
+        read = read_csv(path)
+        assert read.packet_delay_ms.base is read.packets_dropped.base
+        assert read.nbytes == read.packet_delay_ms.base.nbytes + 2 * len(read)
+
 
 def oracle_read_csv(path):
     """The per-row reader that ``read_csv`` replaced, with its record checks inline.
@@ -717,8 +726,6 @@ FOUR_ROWS = 4
 # CSVs that are not plain files (see simulate._plain_file), or plain ones with a faulty row
 QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6
 OFF_PLAIN_PATH = {
-    "crlf": csv_text(end="\r\n"),
-    "lone_cr": csv_text({5: PLAIN_ROWS[5] + "\r"}),
     "quoted_field": csv_text({6: '"' + PLAIN_ROWS[6].replace(",", '",', 1) + "\n"}),
     "quoted_newline_across_blocks": csv_text({3: QUOTED_NEWLINE}),
     "quoted_newline_then_fault": csv_text({3: QUOTED_NEWLINE, 9: "-1" + PLAIN_ROWS[9][5:] + "\n"}),
@@ -732,8 +739,18 @@ OFF_PLAIN_PATH = {
     "oversized_delay": csv_text({6: "1." + "0" * 140_000 + PLAIN_ROWS[6][5:] + "\n"}),
 }
 
+# line ends that csv.reader and loadtxt's text file both split at; each of these files is plain
+CR_LINE_ENDS = {
+    "crlf": csv_text(end="\r\n"),
+    "crlf_header": csv_text().replace("\n", "\r\n"),
+    "lone_cr": csv_text({5: PLAIN_ROWS[5] + "\r"}),
+    "cr_then_crlf": csv_text({5: PLAIN_ROWS[5] + "\r\r\n"}),  # a blank line between rows 5 and 6
+    "cr_at_the_end": csv_text()[:-1] + "\r",
+}
+
 # CSVs on which np.loadtxt and the csv.reader path were seen to part, or might
 LOADTXT_PITFALLS = {
+    **CR_LINE_ENDS,
     "label_then_nul": csv_text({4: PLAIN_ROWS[4][:-1] + "0\x00\n"}),  # loadtxt reads the label as b"0"
     # loadtxt cuts a bytes field to its width: probeXXXX reads as b"probeXXX"
     "type_cut_to_its_width": csv_text({3: PLAIN_ROWS[3].replace("dos", "probeXXXX") + "\n"}),
@@ -813,6 +830,25 @@ class TestReaderParity:
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert result_or_csv_error(read_csv, path) == result_or_csv_error(oracle_read_csv, path)
+
+    @pytest.mark.parametrize("text", CR_LINE_ENDS.values(), ids=CR_LINE_ENDS.keys())
+    def test_cr_line_ends_read_on_the_loadtxt_path(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+            table = read_csv(path)
+        assert row_fault.call_count == 0
+        assert outcome(lambda _: table, path) == outcome(oracle_read_csv, path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_compression_suffix_reads_as_plain_text(self, tmp_path, suffix):
+        # np.loadtxt given a path would open a file so named with a decompressor
+        path = tmp_path / f"data.csv{suffix}"
+        path.write_text(csv_text())
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+            table = read_csv(path)
+        assert row_fault.call_count == 0
+        assert outcome(lambda _: table, path) == outcome(oracle_read_csv, path)
 
     @pytest.mark.parametrize("block_rows", [FOUR_ROWS, simulate._BLOCK_ROWS], ids=["four_rows", "default"])
     def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_rows):
@@ -923,10 +959,10 @@ def test_read_peak_allocation_stays_near_the_table(tmp_path):
 
 
 def test_csv_reader_path_peak_allocation_stays_near_the_table(tmp_path):
-    # \r\n line ends keep every row off the plain path, so each one goes through csv.reader
+    # a quoted header name keeps the file off the plain path, so each row goes through csv.reader
     path = tmp_path / "traffic.csv"
     write_csv(generate_dataset(ScenarioConfig(n_records=100_000, seed=3)), path)
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    path.write_bytes(path.read_bytes().replace(b"packet_delay_ms", b'"packet_delay_ms"', 1))
     tracemalloc.start()
     try:
         table = read_csv(path)
