@@ -831,20 +831,16 @@ class TestReaderParity:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert result_or_csv_error(read_csv, path) == result_or_csv_error(oracle_read_csv, path)
 
-    @pytest.mark.parametrize("text", CR_LINE_ENDS.values(), ids=CR_LINE_ENDS.keys())
-    def test_cr_line_ends_read_on_the_loadtxt_path(self, tmp_path, text):
-        path = tmp_path / "data.csv"
-        path.write_bytes(text.encode())
-        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
-            table = read_csv(path)
-        assert row_fault.call_count == 0
-        assert outcome(lambda _: table, path) == outcome(oracle_read_csv, path)
-
-    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-    def test_a_compression_suffix_reads_as_plain_text(self, tmp_path, suffix):
+    @pytest.mark.parametrize(
+        "name, text",
+        [("data.csv", text) for text in CR_LINE_ENDS.values()]
         # np.loadtxt given a path would open a file so named with a decompressor
-        path = tmp_path / f"data.csv{suffix}"
-        path.write_text(csv_text())
+        + [(f"data.csv{suffix}", csv_text()) for suffix in (".gz", ".bz2", ".xz", ".lzma")],
+        ids=[*CR_LINE_ENDS, "gz", "bz2", "xz", "lzma"],
+    )
+    def test_plain_files_read_on_the_loadtxt_path(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
         with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
             table = read_csv(path)
         assert row_fault.call_count == 0
