@@ -10,6 +10,7 @@ record stays scored.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -64,6 +65,10 @@ _FOOTNOTE = (
 )
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one comparison run; data comes from a CSV or a scenario."""
@@ -83,8 +88,11 @@ class ExperimentConfig:
             raise ConfigError("give either data_csv or scenario, not both")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
+        if not _is_integer(self.split_seed):
+            raise ConfigError(f"split_seed must be an integer, got {self.split_seed!r}")
         if self.split_seed < 0:
             raise ConfigError("split_seed must be >= 0")
+        object.__setattr__(self, "split_seed", int(self.split_seed))  # a numpy integer would not encode as JSON
         probs = tuple(float(p) for p in self.knot_probs)
         object.__setattr__(self, "knot_probs", probs)
         if not probs or any(not 0.0 < p < 1.0 for p in probs) or any(
@@ -97,8 +105,9 @@ class ExperimentConfig:
             raise ConfigError("models must be a nonempty set of distinct model names")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
-        if self.bspline_degree not in (1, 2, 3):
+        if not _is_integer(self.bspline_degree) or self.bspline_degree not in (1, 2, 3):
             raise ConfigError("bspline_degree must be 1, 2 or 3")
+        object.__setattr__(self, "bspline_degree", int(self.bspline_degree))
         if self.congestion_filter not in ("all", "congested", "uncongested"):
             raise ConfigError("congestion_filter must be all, congested or uncongested")
 

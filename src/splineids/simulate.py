@@ -5,7 +5,10 @@ cell, packet delay and transfer interval are log-normal and packet drops are
 Poisson. Attack delays sit well above normal delays so packet delay alone is
 an informative predictor; the default cell parameters below were frozen after
 tuning the end-to-end pipeline into the >95%-accuracy regime for all five
-models (see README).
+models (see README). Delays and intervals are recorded at a 1 µs capture
+resolution, as a pcap timestamp is: each drawn value in ms is rounded to the
+nearest k / 1000 (``_to_grid``), and one below 0.5 µs, which rounds to 0, is
+an invalid record.
 
 Records travel as a :class:`TrafficTable`: one numpy column per field (packet
 delay and transfer interval float64, packet drops int64, the congestion flag
@@ -33,17 +36,20 @@ Randomness: one PCG64 stream per column, seeded by the children of
 
 No draw keeps words back for the next, so the records do not depend on
 ``_BLOCK_ROWS``. Earlier versions drew one record at a time from one stream,
-so a seed now names different records; CSV files they wrote still load.
+and kept every bit of a draw, so a seed now names different records; CSV
+files they wrote still load.
 
 The CSV writer goes ``_BLOCK_ROWS`` rows at a time, so it never holds the
-whole file as text. ``read_csv`` reads a plain file (no quote, NUL or
-over-long line; see ``_plain_file``) with one ``np.loadtxt`` call and
-decodes its (congested, attack_type, label) bytes against the spellings
-``write_csv`` writes. Any other file, or one that ``loadtxt`` refuses or
-whose rows fail a check, is read again from its first line with
-``csv.reader``: one per-row rule, ``_row_fault``, checks each row in a fixed
-order and converts its fields once, and the first faulty row raises with its
-file line.
+whole file as text. It writes a block's reals with 3 decimals when they all
+lie on the 1 µs grid below ``_GRID_BOUND`` ms, and with 17 significant
+digits otherwise; either spelling reads back bit-exact. ``read_csv`` reads a
+plain file (no quote, NUL or over-long line; see ``_plain_file``) with one
+``np.loadtxt`` call and decodes its (congested, attack_type, label) bytes
+against the spellings ``write_csv`` writes. Any other file, or one that
+``loadtxt`` refuses or whose rows fail a check, is read again from its first
+line with ``csv.reader``: one per-row rule, ``_row_fault``, checks each row
+in a fixed order and converts its fields once, and the first faulty row
+raises with its file line.
 """
 
 import csv
@@ -296,10 +302,12 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     """Generate exactly ``config.n_records`` records, deterministic per seed.
 
     The columns are drawn as the module docstring says, ``_BLOCK_ROWS``
-    records at a time; each block is checked as a table before the next is
-    drawn. The first invalid record is named: a record whose Poisson rate
-    numpy rejects, or one whose values break the table's value rule,
-    whichever comes first; at one record, the rejected rate is reported.
+    records at a time, and the delays and intervals are rounded to the 1 µs
+    grid; each block is checked as a table before the next is drawn. The
+    first invalid record is named: a record whose Poisson rate numpy
+    rejects, or one whose values break the table's value rule (a delay or
+    interval that overflows, or rounds to 0), whichever comes first; at one
+    record, the rejected rate is reported.
     """
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
     jitter_rng, congested_rng, attacked_rng, type_rng, vehicle_rng, delay_rng, drops_rng, interval_rng = streams
@@ -318,10 +326,11 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
         codes = np.where(attacked, _attack_type_index(config.attack_mix, type_rng.random(m)) + 1, 0)
         vehicle = (vehicle_rng.random(m) * config.n_vehicles).astype(np.intp)
         cell = 2 * attacked + congested
-        # an overflowing draw gives inf or NaN, which the table's check rejects
+        # an overflowing draw gives inf or NaN and one below 0.5 µs rounds to 0, which the table's check rejects
         with np.errstate(over="ignore", invalid="ignore"):
             delay = np.exp(delay_mu[cell] + jitter[vehicle] + delay_sigma[cell] * delay_rng.standard_normal(m))
             interval = np.exp(interval_mu[cell] + interval_sigma[cell] * interval_rng.standard_normal(m))
+            delay, interval = _to_grid(delay), _to_grid(interval)
         # a vector Poisson call rejects the whole array, so the rows before the first rejected rate draw alone
         bad = rejected[cell]
         n = int(bad.argmax()) if bad.any() else m
@@ -333,6 +342,11 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
         if n < m:
             raise ConfigError(f"scenario draws an invalid record {start + n}: {rate_faults[cell[n]]}")
     return _concat(tables)
+
+
+def _to_grid(values: np.ndarray) -> np.ndarray:
+    """``values`` in ms rounded to the nearest k / 1000, the 1 µs capture grid; below 0.5 µs that is 0."""
+    return np.rint(values * 1000.0) / 1000.0
 
 
 def _attack_type_index(mix: Sequence[float], u: np.ndarray) -> np.ndarray:
@@ -358,14 +372,30 @@ def _poisson_fault(stream: np.random.Generator, rate: float) -> str | None:
 _ROW_TAILS = tuple(f"{c},{t.value},{int(t is not AttackType.NONE)}\n" for c in (0, 1) for t in AttackType)
 
 
+# below this many ms a real on the 1 µs grid, the double nearest some k / 1000, is within half an ulp
+# (at most 2**-21 ms) of k / 1000, so its 3 decimals name k and read back as that double
+_GRID_BOUND = 2.0**33
+
+
+def _on_grid(reals: np.ndarray) -> bool:
+    # the bound first, so that reals * 1000 cannot overflow
+    return bool((reals < _GRID_BOUND).all() and (_to_grid(reals) == reals).all())
+
+
 def write_csv(table: TrafficTable, path: str | Path) -> None:
-    """Write ``table`` in the canonical schema; reals carry 17 significant digits."""
+    """Write ``table`` in the canonical schema, ``_BLOCK_ROWS`` rows at a time, so that it reads back bit-exact.
+
+    A block whose reals all lie on the 1 µs grid (see ``_to_grid``) and below
+    ``_GRID_BOUND`` ms writes them with 3 decimals; any other block writes
+    them with 17 significant digits.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
             tails = block.congested * len(AttackType) + block.attack_code
-            fh.write("".join(map("%.17g,%d,%.17g,%s".__mod__, zip(
+            on_grid = _on_grid(block.packet_delay_ms) and _on_grid(block.transfer_interval_ms)
+            fh.write("".join(map(("%.3f,%d,%.3f,%s" if on_grid else "%.17g,%d,%.17g,%s").__mod__, zip(
                 block.packet_delay_ms.tolist(),
                 block.packets_dropped.tolist(),
                 block.transfer_interval_ms.tolist(),

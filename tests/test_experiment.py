@@ -172,6 +172,26 @@ class TestConfigDigest:
         assert config_digest(numpy_config) == config_digest(ExperimentConfig(scenario=ScenarioConfig(**counts)))
         assert all(type(getattr(numpy_config.scenario, name)) is int for name in counts)
 
+    def test_numpy_integer_split_seed_and_degree_give_the_python_int_digest(self):
+        numpy_config = ExperimentConfig(split_seed=np.int64(3), bspline_degree=np.int64(3))
+        assert config_digest(numpy_config) == config_digest(ExperimentConfig(split_seed=3, bspline_degree=3))
+        assert type(numpy_config.split_seed) is int and type(numpy_config.bspline_degree) is int
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
+            ("split_seed", 3.0, "split_seed must be an integer, got 3.0"),
+            ("split_seed", True, "split_seed must be an integer, got True"),
+            ("bspline_degree", 3.0, "bspline_degree must be 1, 2 or 3"),
+            ("bspline_degree", True, "bspline_degree must be 1, 2 or 3"),
+        ],
+        ids=["seed_1.5", "seed_3.0", "seed_True", "degree_3.0", "degree_True"],
+    )
+    def test_non_integer_split_seed_or_degree_is_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(**{field: value})
+
     def test_unset_scenario_and_default_scenario_differ(self):
         assert config_digest(ExperimentConfig()) != config_digest(ExperimentConfig(scenario=ScenarioConfig()))
 

@@ -148,6 +148,10 @@ extreme_reals = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
 )
 
+# the k of each real k / 1000 that write_csv writes with 3 decimals, and those reals
+grid_steps = st.one_of(st.integers(1, 10**6), st.integers(1, int(simulate._GRID_BOUND) * 1000 - 1))
+grid_reals = grid_steps.map(lambda k: k / 1000)
+
 
 class TestAttackTypeIndex:
     """Each attack-type uniform maps through the cumulative mix onto a type of positive weight."""
@@ -251,6 +255,124 @@ class TestCsvRoundTrip:
             assert np.array_equal(got, want), name
 
 
+    def test_generated_reals_are_written_with_three_decimals(self, tmp_path):
+        table = generate_dataset(ScenarioConfig(n_records=600, seed=42))
+        for column in (table.packet_delay_ms, table.transfer_interval_ms):
+            assert np.array_equal(np.rint(column * 1000) / 1000, column)
+        path = tmp_path / "traffic.csv"
+        write_csv(table, path)
+        rows = list(csv.reader(path.read_text().splitlines()[1:]))
+        assert all(len(real.split(".")[1]) == 3 for row in rows for real in (row[0], row[2]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(k=grid_steps)
+    def test_grid_real_below_the_bound_prints_and_reads_back_exactly(self, k):
+        real = k / 1000
+        assert real < simulate._GRID_BOUND
+        assert float("%.3f" % real) == real
+        assert np.rint(real * 1000) == k
+        assert simulate._on_grid(np.array([real]))
+
+    def test_every_grid_real_below_1000_ms_round_trips(self, tmp_path):
+        k = np.arange(1, 10**6)
+        reals = k / 1000
+        assert all(float("%.3f" % real) == real for real in reals.tolist())
+        assert np.array_equal(np.rint(reals * 1000), k)
+        # the same reals through the writer's 3 decimals and read_csv's parser
+        table = TrafficTable(reals, np.zeros(len(k)), reals[::-1], np.zeros(len(k)), np.zeros(len(k)))
+        path = tmp_path / "grid.csv"
+        write_csv(table, path)
+        with open(path) as fh:
+            assert [next(fh), next(fh)] == [CSV_HEADER + "\n", "0.001,0,999.999,0,none,0\n"]
+        result = read_csv(path)
+        for name in ("packet_delay_ms", "transfer_interval_ms"):
+            assert np.array_equal(getattr(result, name).view(np.int64), getattr(table, name).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "real,text",
+        [
+            (1.0005, "1.0004999999999999"),  # between two grid points
+            (math.nextafter(1.105, 2.0), "1.1050000000000002"),  # one ulp off the grid
+            (4e-4, "0.00040000000000000002"),  # below 0.5 µs, which rounds to 0
+            (2.0**33, "8589934592"),  # on the grid, at the bound
+            (1.8e305, "1.7999999999999999e+305"),  # 1000 times it overflows
+        ],
+        ids=["between", "ulp_off", "below_half_step", "at_the_bound", "overflows"],
+    )
+    def test_block_with_one_off_grid_real_is_written_with_17_digits(self, tmp_path, monkeypatch, real, text):
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 3)
+        # rows 3-5 make the second block; its last interval is off the grid, or at the bound
+        delays = [1.5, 0.001, 2.25, 3.0, 4.125, 5.5, 2.0**33 - 0.001]
+        intervals = [10.0, 20.5, 30.25, 40.0, 50.5, real, 70.0]
+        table = TrafficTable(delays, [0] * 7, intervals, [0] * 7, [0] * 7)
+        path = tmp_path / "table.csv"
+        write_csv(table, path)
+        assert path.read_text().splitlines()[1:] == [
+            "1.500,0,10.000,0,none,0",
+            "0.001,0,20.500,0,none,0",
+            "2.250,0,30.250,0,none,0",
+            "3,0,40,0,none,0",
+            "4.125,0,50.5,0,none,0",
+            f"5.5,0,{text},0,none,0",
+            "8589934591.999,0,70.000,0,none,0",
+        ]
+        result = read_csv(path)
+        for name in ("packet_delay_ms", "transfer_interval_ms"):
+            assert np.array_equal(getattr(result, name).view(np.int64), getattr(table, name).view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(grid_reals, extreme_reals),
+                st.integers(0, 2**63 - 1),
+                st.one_of(grid_reals, extreme_reals),
+                st.booleans(),
+                st.integers(0, 4),
+            ),
+            max_size=14,
+        ),
+        block_rows=st.sampled_from([1, 2, 3, 4096]),
+    )
+    def test_round_trip_is_bit_exact_through_grid_and_exact_blocks(self, tmp_path_factory, rows, block_rows):
+        table = TrafficTable(*(list(zip(*rows)) or [[]] * 5))
+        path = tmp_path_factory.mktemp("rt") / "table.csv"
+        with mock.patch.object(simulate, "_BLOCK_ROWS", block_rows):
+            write_csv(table, path)
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+            result = read_csv(path)
+        assert row_fault.call_count == 0
+        for name in ("packet_delay_ms", "transfer_interval_ms"):
+            assert np.array_equal(getattr(result, name).view(np.int64), getattr(table, name).view(np.int64))
+        assert result == table
+
+    def test_17_digit_csv_of_an_earlier_version_reads_and_writes_back_unchanged(self, tmp_path):
+        # the first rows that an earlier version, which kept every bit of a draw, wrote for seed 42
+        text = (
+            CSV_HEADER + "\n"
+            "22.300259897539263,5,40.953080663321536,0,u2r,1\n"
+            "2.1380453229391585,2,197.55276447505184,1,none,0\n"
+            "14.640028259580937,2,35.617914965238342,0,u2r,1\n"
+            "44.9825126718492,2,49.754440465716442,1,probe,1\n"
+            "2.6518564291673679,0,109.31308275250584,0,none,0\n"
+            "12.937508682752343,1,34.500021512126651,0,dos,1\n"
+        )
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text(text)
+        table = read_csv(old)
+        assert table == TrafficTable(
+            [22.300259897539263, 2.1380453229391585, 14.640028259580937, 44.9825126718492, 2.6518564291673679,
+             12.937508682752343],
+            [5, 2, 2, 2, 0, 1],
+            [40.953080663321536, 197.55276447505184, 35.617914965238342, 49.754440465716442, 109.31308275250584,
+             34.500021512126651],
+            [0, 1, 0, 1, 0, 0],
+            [3, 0, 3, 1, 0, 2],
+        )
+        write_csv(table, new)
+        assert new.read_text() == text
+
+
 class TestCsvParseErrors:
     header = "packet_delay_ms,packets_dropped,transfer_interval_ms,congested,attack_type,label\n"
 
@@ -324,25 +446,25 @@ class TestScenarioDicts:
 @pytest.mark.parametrize(
     "n,seed,digest",
     [
-        (600, 42, "900af5267cdf8f0906b1953a7799827185ecc39ab11b77d918f8076fbdf19964"),
-        (20000, 7, "ed833f2cfe9229ab1d396b7ee9ed6aca1cfad027ab8cea6fff24c1608fdbc104"),
+        (600, 42, "380c05a25e69c3be1e3c7f05ae9aa62497bb7d7a2be44a3006989cb62e39e339"),
+        (20000, 7, "27204158808e3b3652171c99cb14f0c50b2c86cbea133c0cd9fbada3156ba75f"),
     ],
 )
-def test_csv_digest_is_pinned(tmp_path, n, seed, digest):
+def test_csv_digest_on_the_1us_grid_is_pinned(tmp_path, n, seed, digest):
     # recorded with numpy 2.4; NumPy does not promise Generator streams across versions
     path = tmp_path / "traffic.csv"
     assert cli.main(["simulate", "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_csv_digest_with_a_million_vehicles_is_pinned(tmp_path):
+def test_csv_digest_with_a_million_vehicles_on_the_1us_grid_is_pinned(tmp_path):
     # vehicle indices floor(u * n) near MAX_COUNT, and jitter for a million vehicles; recorded with numpy 2.4
     config, path = tmp_path / "scenario.json", tmp_path / "traffic.csv"
     config.write_text(json.dumps({"n_vehicles": 1_000_000}))
     argv = ["simulate", "--config", str(config), "--n", "20000", "--seed", "3", "--out", str(path)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e6eefce32725432ee2f073374d3060e97a937d34a8368fe3a4ede115db81c308"
+        "9ddad64e8b80344995464b8893e00f311402e845aa562d44b2436b823d1666f0"
     )
 
 
@@ -384,6 +506,8 @@ def oracle_generate_dataset(config: ScenarioConfig) -> TrafficTable:
     # an overflowing draw gives inf or NaN, which the table's check rejects
     with np.errstate(over="ignore", invalid="ignore"):
         delay, interval = np.exp(log_delay), np.exp(log_interval)
+        # the 1 µs capture grid
+        delay, interval = np.rint(delay * 1000) / 1000, np.rint(interval * 1000) / 1000
     try:
         table = TrafficTable(delay, drops, interval, congested, codes)
     except RowError as err:
