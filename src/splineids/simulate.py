@@ -43,9 +43,9 @@ The CSV writer goes ``_BLOCK_ROWS`` rows at a time, so it never holds the
 whole file as text. It writes a block's reals with 3 decimals when they all
 lie on the 1 µs grid below ``_GRID_BOUND`` ms, and with 17 significant
 digits otherwise; either spelling reads back bit-exact. ``read_csv`` reads a
-plain file (no quote, NUL or over-long line; see ``_plain_file``) with one
-``np.loadtxt`` call and decodes its (congested, attack_type, label) bytes
-against the spellings ``write_csv`` writes. Any other file, or one that
+plain file (ASCII, with no quote, NUL or over-long line; see ``_plain_file``)
+with one ``np.loadtxt`` call and decodes its (congested, attack_type, label)
+bytes against the spellings ``write_csv`` writes. Any other file, or one that
 ``loadtxt`` refuses or whose rows fail a check, is read again from its first
 line with ``csv.reader``: one per-row rule, ``_row_fault``, checks each row
 in a fixed order and converts its fields once, and the first faulty row
@@ -471,11 +471,14 @@ def _read_rows(path: str | Path) -> TrafficTable:
 
 
 def _plain_file(path: str | Path) -> bool:
-    """Whether ``path`` opens with the header line and has no quote or NUL byte and no over-long line.
+    """Whether ``path`` opens with the header line, is ASCII, and has no quote or NUL byte and no over-long line.
 
     A line is over-long when it has more bytes than ``csv.field_size_limit()``.
     In a plain file ``csv.reader`` splits each line at its commas, as ``np.loadtxt``
-    does, and both end a line at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
+    does, and both end a line at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Only ASCII
+    reaches ``loadtxt``: its integer parser hands each character to C's
+    ``isdigit``, whose table ends at 255, so a drop count ``\\U000ac872`` can
+    read as 706626 or crash the process.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
@@ -483,7 +486,7 @@ def _plain_file(path: str | Path) -> bool:
             return False
         run = 0  # the bytes since the last newline, the start of a line that may go on into the next chunk
         while chunk := fh.read(min(limit, 1 << 20)):  # a line inside one chunk is never over-long
-            if b'"' in chunk or b"\0" in chunk:
+            if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
                 return False
             first = chunk.find(b"\n")
             if run + (len(chunk) if first < 0 else first) > limit:

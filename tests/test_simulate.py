@@ -859,6 +859,9 @@ OFF_PLAIN_PATH = {
     "five_then_seven_fields": csv_text({2: "2.5,1,90.0,0,none\n", 3: "0,2.5,1,90.0,0,none,0\n"}),
     "two_rows_joined_by_a_field": csv_text({2: PLAIN_ROWS[2] + ",0," + PLAIN_ROWS[2] + "\n"}),
     "plain_block_then_faulty_block": csv_text({5: "-1" + PLAIN_ROWS[5][3:] + "\n"}),
+    # numpy's integer parser looks a non-ASCII character up past the end of C's isdigit table, so loadtxt
+    # read this drop count as 706626, or crashed
+    "astral_plane_drops": csv_text({4: PLAIN_ROWS[4].replace(",1,", ",\U000ac872,") + "\n"}),
     # float() reads this delay, but it is past the csv field size limit
     "oversized_delay": csv_text({6: "1." + "0" * 140_000 + PLAIN_ROWS[6][5:] + "\n"}),
 }
