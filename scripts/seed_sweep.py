@@ -26,8 +26,8 @@ def positive_int(text: str) -> int:
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=positive_int, default=50, help="number of seeds (1..N)")
-    parser.add_argument("--split-seed", type=int, default=42)
-    parser.add_argument("--n", type=int, default=600)
+    parser.add_argument("--split-seed", type=int, default=ExperimentConfig.split_seed)
+    parser.add_argument("--n", type=int, default=ScenarioConfig.n_records)
     args = parser.parse_args()
 
     accs = {kind: [] for kind in ModelKind}

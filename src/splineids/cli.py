@@ -6,6 +6,7 @@ failure. All randomness flows from explicit seed flags.
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -86,18 +87,27 @@ def _add_data_args(p):
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed (not with --data)")
 
 
+def _add_fit_args(p):
+    knots = ",".join(map(str, exp.ExperimentConfig.knot_probs))
+    p.add_argument("--knots", default=knots, help="comma-separated quantile probabilities")
+    p.add_argument("--bspline-degree", type=int, default=exp.ExperimentConfig.bspline_degree)
+
+
 def _add_experiment_args(p):
+    defaults = exp.ExperimentConfig  # a dataclass field's default is its class attribute
     _add_data_args(p)
-    p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=42)
-    p.add_argument("--knots", default="0.25,0.5,0.75", help="comma-separated quantile probabilities")
-    p.add_argument("--models", default="logistic,linear,quadratic,cubic,bspline")
-    p.add_argument("--bspline-degree", type=int, default=3)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--filter", choices=("all", "congested", "uncongested"), default="all")
+    p.add_argument("--split-ratio", type=float, default=defaults.split_ratio)
+    p.add_argument("--split-seed", type=int, default=defaults.split_seed)
+    p.add_argument("--models", default=",".join(m.value for m in exp.ALL_MODELS))
+    _add_fit_args(p)
+    p.add_argument("--threshold", type=float, default=defaults.threshold)
+    p.add_argument("--filter", choices=("all", "congested", "uncongested"), default=defaults.congestion_filter)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the report format and the curve grid default as emit_report and emit_curves do
+    fmt = inspect.signature(exp.emit_report).parameters["fmt"].default
+    grid_points = inspect.signature(exp.emit_curves).parameters["grid_points"].default
     parser = _Parser(prog="splineids", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -111,27 +121,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the five-model comparison")
     _add_experiment_args(p)
     p.add_argument("--report", help="write the report here (default: stdout)")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "csv"), default=fmt)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("curves", help="emit prediction curves over a delay grid")
     _add_experiment_args(p)
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=int, default=grid_points)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("train", help="fit one model on a full dataset and save it")
     _add_data_args(p)
     p.add_argument("--model", required=True, choices=[m.value for m in exp.ModelKind])
-    p.add_argument("--knots", default="0.25,0.5,0.75")
-    p.add_argument("--bspline-degree", type=int, default=3)
+    _add_fit_args(p)
     p.add_argument("--save", required=True, help="output model JSON path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a saved model against a dataset")
     p.add_argument("--load", required=True, help="model JSON path")
     p.add_argument("--data", required=True, help="input traffic CSV")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=exp.ExperimentConfig.threshold)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser
@@ -164,7 +173,7 @@ def _cmd_train(args) -> None:
         models=_parse_models(args.model),
         bspline_degree=args.bspline_degree,
     )
-    records, _ = exp.load_records(config)
+    records = exp.load_records(config)
     (model,) = exp.fit_models(config, records.packet_delay_ms, records.label).models.values()
     exp.save_model(model, args.save)
 
@@ -172,7 +181,7 @@ def _cmd_train(args) -> None:
 def _cmd_evaluate(args) -> None:
     config = exp.ExperimentConfig(data_csv=args.data, threshold=args.threshold)
     model = exp.load_model(args.load)
-    records, _ = exp.load_records(config)
+    records = exp.load_records(config)
     cm, clamped = exp.score_model(model, records.packet_delay_ms, records.label, config.threshold)
     sys.stdout.write(
         f"n: {cm.total}\n"

@@ -1,6 +1,10 @@
 """End-to-end orchestration: split, five-model comparison, reports, curves,
 model persistence.
 
+Each model's display name and regression basis live in one table,
+``_MODELS``. Every prediction, on test records, on scored files and on the
+curve grid, goes through one path, ``_probabilities``.
+
 Knots are always taken from training-set delays only (no test leakage), and
 the clamped B-spline domain is the training delay range; test delays outside
 that domain are clamped to the edge and counted as warnings so every test
@@ -11,6 +15,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -45,15 +50,16 @@ class ModelKind(Enum):
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
+        return _MODELS[self][0]
 
 
-_DISPLAY_NAMES = {
-    ModelKind.LOGISTIC: "Logistic Regression",
-    ModelKind.LINEAR_SPLINE: "Linear Spline",
-    ModelKind.QUADRATIC_SPLINE: "Quadratic Spline",
-    ModelKind.CUBIC_SPLINE: "Cubic Spline",
-    ModelKind.BSPLINE: "B-Spline",
+# each model's display name and basis; a basis degree of None is the config's bspline_degree
+_MODELS = {
+    ModelKind.LOGISTIC: ("Logistic Regression", None),
+    ModelKind.LINEAR_SPLINE: ("Linear Spline", (BasisKind.TRUNCATED_POWER, 1)),
+    ModelKind.QUADRATIC_SPLINE: ("Quadratic Spline", (BasisKind.TRUNCATED_POWER, 2)),
+    ModelKind.CUBIC_SPLINE: ("Cubic Spline", (BasisKind.TRUNCATED_POWER, 3)),
+    ModelKind.BSPLINE: ("B-Spline", (BasisKind.BSPLINE, None)),
 }
 
 ALL_MODELS = tuple(ModelKind)
@@ -67,6 +73,24 @@ _FOOTNOTE = (
 
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _in_unit_interval(name: str, value) -> float:
+    """``value`` as a float; a value that is not a real number in (0, 1) is a ConfigError."""
+    if not (_is_real(value) and 0.0 < value < 1.0):
+        raise ConfigError(f"{name} must be a number in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _as_tuple(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,27 +108,33 @@ class ExperimentConfig:
     congestion_filter: str = "all"
 
     def __post_init__(self):
+        # each field is stored as a Python str, float, int or tuple, which the config digest encodes
         if self.data_csv is not None and self.scenario is not None:
             raise ConfigError("give either data_csv or scenario, not both")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError("split_ratio must lie in (0, 1)")
+        if self.data_csv is not None:
+            if not (isinstance(self.data_csv, (str, os.PathLike)) and isinstance(os.fspath(self.data_csv), str)):
+                raise ConfigError(f"data_csv must be a str or os.PathLike path, got {self.data_csv!r}")
+            object.__setattr__(self, "data_csv", os.fspath(self.data_csv))
+        object.__setattr__(self, "split_ratio", _in_unit_interval("split_ratio", self.split_ratio))
         if not _is_integer(self.split_seed):
             raise ConfigError(f"split_seed must be an integer, got {self.split_seed!r}")
         if self.split_seed < 0:
             raise ConfigError("split_seed must be >= 0")
         object.__setattr__(self, "split_seed", int(self.split_seed))  # a numpy integer would not encode as JSON
-        probs = tuple(float(p) for p in self.knot_probs)
-        object.__setattr__(self, "knot_probs", probs)
-        if not probs or any(not 0.0 < p < 1.0 for p in probs) or any(
+        probs = _as_tuple("knot_probs", self.knot_probs)
+        if not (probs and all(_is_real(p) and 0.0 < p < 1.0 for p in probs)) or any(
             q <= p for p, q in zip(probs, probs[1:])
         ):
-            raise ConfigError("knot_probs must be strictly increasing in (0, 1)")
-        models = tuple(self.models)
+            raise ConfigError(f"knot_probs must be strictly increasing in (0, 1), got {self.knot_probs!r}")
+        object.__setattr__(self, "knot_probs", tuple(map(float, probs)))
+        models = _as_tuple("models", self.models)
+        stray = [m for m in models if not isinstance(m, ModelKind)]
+        if stray:
+            raise ConfigError(f"models must be ModelKind members, got {stray[0]!r}")
         object.__setattr__(self, "models", models)
         if not models or len(set(models)) != len(models):
             raise ConfigError("models must be a nonempty set of distinct model names")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
+        object.__setattr__(self, "threshold", _in_unit_interval("threshold", self.threshold))
         if not _is_integer(self.bspline_degree) or self.bspline_degree not in (1, 2, 3):
             raise ConfigError("bspline_degree must be 1, 2 or 3")
         object.__setattr__(self, "bspline_degree", int(self.bspline_degree))
@@ -179,27 +209,21 @@ def basis_spec_for(
     bspline_degree: int,
 ) -> SplineBasisSpec | None:
     """Map a model name onto its regression basis (None = raw-delay baseline)."""
-    if kind is ModelKind.LOGISTIC:
+    basis = _MODELS[kind][1]
+    if basis is None:
         return None
-    if kind is ModelKind.BSPLINE:
-        return SplineBasisSpec(BasisKind.BSPLINE, bspline_degree, knots, domain)
-    degree = {
-        ModelKind.LINEAR_SPLINE: 1,
-        ModelKind.QUADRATIC_SPLINE: 2,
-        ModelKind.CUBIC_SPLINE: 3,
-    }[kind]
-    return SplineBasisSpec(BasisKind.TRUNCATED_POWER, degree, knots, domain)
+    basis_kind, degree = basis
+    return SplineBasisSpec(basis_kind, bspline_degree if degree is None else degree, knots, domain)
 
 
-def load_records(config: ExperimentConfig) -> tuple[TrafficTable, int | None]:
-    """The records ``config`` names, and the scenario seed (None for CSV input)."""
+def load_records(config: ExperimentConfig) -> TrafficTable:
+    """The records ``config`` names: its CSV, else its scenario, else the default scenario."""
     if config.data_csv is not None:
         records = read_csv(config.data_csv)
         if not len(records):
             raise EmptyDataError(f"{config.data_csv} holds no records")
-        return records, None
-    scenario = config.scenario if config.scenario is not None else ScenarioConfig()
-    return generate_dataset(scenario), scenario.seed
+        return records
+    return generate_dataset(config.scenario or ScenarioConfig())
 
 
 def _filter_records(records: TrafficTable, which: str) -> TrafficTable:
@@ -241,27 +265,27 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
     return FittedModels(knots, domain, models)
 
 
-def score_model(
-    model: LogisticModel, x: np.ndarray, y: np.ndarray, threshold: float
-) -> tuple[ConfusionMatrix, int]:
-    """Confusion counts of ``model`` on delays ``x`` and labels ``y``, and the clamped count.
-
-    B-spline inputs outside the model's domain are clamped to its edge and
-    counted, so every record is scored.
-    """
+def _probabilities(model: LogisticModel, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``model``'s attack probabilities at delays ``x``, and how many B-spline inputs it clamped to its domain."""
     spec = model.basis_spec
     clamped = 0
     if spec is not None and spec.kind is BasisKind.BSPLINE:
         lo, hi = spec.domain
         clamped = int(np.sum((x < lo) | (x > hi)))
         x = np.clip(x, lo, hi)
-    probs = predict_prob(model, build_design_matrix(spec, x))
+    return predict_prob(model, build_design_matrix(spec, x)), clamped
+
+
+def score_model(
+    model: LogisticModel, x: np.ndarray, y: np.ndarray, threshold: float
+) -> tuple[ConfusionMatrix, int]:
+    """Confusion counts of ``model`` on delays ``x`` and labels ``y``, and the clamped count."""
+    probs, clamped = _probabilities(model, x)
     return confusion_matrix(classify(probs, threshold), y), clamped
 
 
 def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
-    records, scenario_seed = load_records(config)
-    records = _filter_records(records, config.congestion_filter)
+    records = _filter_records(load_records(config), config.congestion_filter)
     train, test = split_train_test(records, config.split_ratio, config.split_seed)
     fitted = fit_models(config, train.packet_delay_ms, train.label)
     test_x, test_y = test.packet_delay_ms, test.label
@@ -286,7 +310,7 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
         n_train=len(train),
         n_test=len(test),
         knots_ms=fitted.knots.values,
-        scenario_seed=scenario_seed,
+        scenario_seed=None if config.data_csv is not None else (config.scenario or ScenarioConfig()).seed,
         split_seed=config.split_seed,
         config_digest=config_digest(config),
         bspline_domain=fitted.domain,
@@ -391,15 +415,12 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     curve can be replotted without extrapolation.
     """
     global _last_fit
-    if not 2 <= grid_points <= MAX_COUNT:
-        raise ConfigError(f"grid_points must be in [2, {MAX_COUNT}], got {grid_points}")
+    if not (_is_integer(grid_points) and 2 <= grid_points <= MAX_COUNT):
+        raise ConfigError(f"grid_points must be in [2, {MAX_COUNT}], got {grid_points!r}")
     last, _last_fit = _last_fit, None
     report, fitted = last[1] if last is not None and last[0] == config else _run(config)
     delays = np.linspace(*fitted.domain, grid_points)
-    probabilities = {}
-    for kind, model in fitted.models.items():
-        dm = build_design_matrix(model.basis_spec, delays)
-        probabilities[kind] = predict_prob(model, dm)
+    probabilities = {kind: _probabilities(model, delays)[0] for kind, model in fitted.models.items()}
     return CurveBundle(delays, probabilities, report.config_digest)
 
 
@@ -436,6 +457,16 @@ def _field(doc: dict, key: str, kind: str):
     return value
 
 
+# the LogisticModel fields a model file stores beside its basis: (JSON kind, conversion on load)
+_MODEL_FIELDS = {
+    "intercept": ("number", float),
+    "coefficients": ("list of numbers", lambda values: tuple(map(float, values))),
+    "converged": ("boolean", bool),
+    "iterations": ("nonnegative integer", int),
+    "separation_flag": ("boolean", bool),
+}
+
+
 def _spec_from_dict(data: dict | None) -> SplineBasisSpec | None:
     if data is None:
         return None
@@ -455,16 +486,8 @@ def _spec_from_dict(data: dict | None) -> SplineBasisSpec | None:
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
     """Persist a fitted model with its basis spec as canonical JSON."""
-    doc = {
-        "format": MODEL_FILE_FORMAT,
-        "version": MODEL_FILE_VERSION,
-        "intercept": model.intercept,
-        "coefficients": list(model.coefficients),
-        "converged": model.converged,
-        "iterations": model.iterations,
-        "separation_flag": model.separation_flag,
-        "basis": _spec_to_dict(model.basis_spec),
-    }
+    doc = {name: getattr(model, name) for name in _MODEL_FIELDS}
+    doc.update(format=MODEL_FILE_FORMAT, version=MODEL_FILE_VERSION, basis=_spec_to_dict(model.basis_spec))
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -481,14 +504,8 @@ def load_model(path: str | Path) -> LogisticModel:
             f"unsupported model file version {doc.get('version')!r}, expected {MODEL_FILE_VERSION}"
         )
     try:
-        model = LogisticModel(
-            intercept=float(_field(doc, "intercept", "number")),
-            coefficients=tuple(map(float, _field(doc, "coefficients", "list of numbers"))),
-            basis_spec=_spec_from_dict(doc["basis"]),
-            converged=_field(doc, "converged", "boolean"),
-            iterations=_field(doc, "iterations", "nonnegative integer"),
-            separation_flag=_field(doc, "separation_flag", "boolean"),
-        )
+        fields = {name: convert(_field(doc, name, kind)) for name, (kind, convert) in _MODEL_FIELDS.items()}
+        model = LogisticModel(basis_spec=_spec_from_dict(doc["basis"]), **fields)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise ModelLoadError(f"corrupt model file {path}: {err}") from None
     if not math.isfinite(model.intercept) or not all(math.isfinite(c) for c in model.coefficients):

@@ -83,7 +83,10 @@ CSV_HEADER = "packet_delay_ms,packets_dropped,transfer_interval_ms,congested,att
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,11 @@ class CellParams:
     interval_sigma: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        for name, value in tuple(vars(self).items()):
             if not _is_finite_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            # the config digest's JSON rejects a Fraction or np.float32, and writes an int as 1, not 1.0
+            object.__setattr__(self, name, float(value))
         if self.delay_sigma <= 0:
             raise ConfigError("delay_sigma must be > 0")
         if self.interval_sigma <= 0:
@@ -274,6 +279,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (_is_finite_number(value) and 0.0 <= value <= highest):
                 raise ConfigError(f"{name} must be a finite number in [0, {highest}], got {value!r}")
+            object.__setattr__(self, name, float(value))
         mix = self.attack_mix
         if not (
             isinstance(mix, (tuple, list))

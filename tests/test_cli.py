@@ -1,4 +1,7 @@
 import contextlib
+import dataclasses
+import hashlib
+import inspect
 import io
 import json
 import math
@@ -11,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splineids import cli
+from splineids import cli, experiment
+from splineids.errors import ConfigError
 from splineids.experiment import (
     ExperimentConfig,
     ModelKind,
+    emit_curves,
     fit_models,
     load_model,
     score_model,
@@ -346,6 +351,15 @@ def test_curves_grid_above_max_count_is_1(tmp_path):
     assert err.startswith("splineids: config error: grid_points") and not out.exists()
 
 
+def test_scenario_real_beyond_the_float_range_is_1(tmp_path):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"normal_uncongested": {"delay_mu": 1' + "0" * 400 + "}}")
+    code, _, err = main_in_process("experiment", "--scenario", cfg)
+    assert code == 1, err
+    assert_one_error_line(err)
+    assert err.startswith("splineids: config error: delay_mu must be a finite number")
+
+
 @pytest.mark.parametrize("basis", [[], "bspline", {"kind": "bspline"}])
 def test_corrupt_model_basis_is_2(trained, tmp_path, basis):
     data, model = trained
@@ -580,3 +594,75 @@ def test_malformed_input_ends_in_one_message(trained, invocation):
     else:
         assert code in (1, 2, 3), (code, err)
         assert_one_error_line(err)
+
+
+# SHA-256 of model files and reports from the default scenario at --seed 42, recorded on numpy 2.4 (a
+# numpy release that changes the Generator streams changes them, as it changes the CSV digests)
+PINNED_MODEL_FILES = {
+    "logistic": "40228d6be0ed5fdce44212b4681cdcdce807d3cfe8d3d34d470d20a759ceaf8d",
+    "linear": "be593488801aae562cf8e4c7b20a608fb8aaeffd637ab88db00cb7dd96638864",
+    "quadratic": "407d28658d5af69f3ebf997ffaa09a42acb172e26b9d4a00b4b513f6824c146a",
+    "cubic": "84e5e01f050ed546382dd215228c8ec6af7349574fba2a27089c704da1ef8ee0",
+    "bspline": "e264255598d7ca1ea002b765341fd86b447115b30bb78f12b9328846b6b48169",
+}
+PINNED_REPORTS = {
+    "text": "919bcdac8398b3cc116ac8a039868bc756838f445376f3943649b7b143e1b5e2",
+    "csv": "5e65a0a7eda0946b73df4cfdbf381310463ecd61929ded44fbab4776e71b7c8c",
+    # the config digest in a report names the CSV path, so the test reads it from a fixed relative path
+    "text_from_csv": "cd838b06786ca975de33bed49bf4c222b3447e87068a04955996cdc0ab758640",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("model", PINNED_MODEL_FILES)
+    def test_model_file_bytes(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        assert main_in_process("train", "--seed", "42", "--model", model, "--save", path)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_FILES[model]
+
+    def test_report_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        reports = {
+            "text": main_in_process("experiment", "--seed", "42"),
+            "csv": main_in_process("experiment", "--seed", "42", "--format", "csv"),
+        }
+        assert main_in_process("simulate", "--seed", "42", "--out", "traffic.csv")[0] == 0
+        reports["text_from_csv"] = main_in_process("experiment", "--data", "traffic.csv")
+        assert {name: code for name, (code, _, _) in reports.items()} == dict.fromkeys(PINNED_REPORTS, 0)
+        digests = {name: hashlib.sha256(out.encode()).hexdigest() for name, (_, out, _) in reports.items()}
+        assert digests == PINNED_REPORTS
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv,differ",
+        [
+            (("experiment",), {"scenario"}),
+            (("curves", "--out", "curves.csv"), {"scenario"}),
+            (("train", "--model", "linear", "--save", "m.json"), {"scenario", "models"}),
+            (("evaluate", "--load", "model.json", "--data", "data.csv"), {"data_csv"}),
+        ],
+        ids=["experiment", "curves", "train", "evaluate"],
+    )
+    def test_parsed_defaults_build_the_default_config(self, tmp_path, monkeypatch, argv, differ):
+        monkeypatch.chdir(tmp_path)
+        assert main_in_process("train", "--model", "logistic", "--save", "model.json")[0] == 0
+        # every command hands its config to load_records; the stand-in keeps it and stops the run
+        seen = []
+
+        def keep(config):
+            seen.append(config)
+            raise ConfigError("config kept")
+
+        monkeypatch.setattr(experiment, "load_records", keep)
+        monkeypatch.setattr(experiment, "_last_fit", None)
+        code, _, err = main_in_process(*argv)
+        assert (code, err) == (1, "splineids: config error: config kept\n")
+        (config,) = seen
+        default = ExperimentConfig()
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {name for name in fields if getattr(config, name) != getattr(default, name)} == differ
+
+    def test_grid_default_is_emit_curves_default(self):
+        args = cli.build_parser().parse_args(["curves", "--out", "curves.csv"])
+        assert args.grid == inspect.signature(emit_curves).parameters["grid_points"].default

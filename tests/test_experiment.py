@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from splineids.experiment import (
     split_train_test,
 )
 from splineids.logistic import build_design_matrix, fit_logistic, predict_prob
-from splineids.simulate import ScenarioConfig, generate_dataset, scenario_from_dict
+from splineids.simulate import CellParams, ScenarioConfig, generate_dataset, scenario_from_dict
 from splineids.splines import quantile_knots
 
 
@@ -195,6 +197,71 @@ class TestConfigDigest:
     def test_unset_scenario_and_default_scenario_differ(self):
         assert config_digest(ExperimentConfig()) != config_digest(ExperimentConfig(scenario=ScenarioConfig()))
 
+    @staticmethod
+    def reals_config(real) -> ExperimentConfig:
+        """A config whose every real field, its scenario's and its cells' included, is built with ``real``."""
+        cell = CellParams(*map(real, (1.0, 0.375, 0.25, 4.5, 0.25)))
+        scenario = ScenarioConfig(
+            attack_fraction=real(0.5),
+            congested_fraction=real(0.25),
+            vehicle_jitter_sigma=real(0.0625),
+            normal_uncongested=cell,
+            normal_congested=cell,
+            attack_uncongested=cell,
+            attack_congested=cell,
+        )
+        return ExperimentConfig(
+            scenario=scenario, split_ratio=real(0.75), threshold=real(0.5), knot_probs=(real(0.25), real(0.5))
+        )
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64, Fraction], ids=["float32", "float64", "Fraction"])
+    def test_foreign_reals_are_stored_as_floats_and_give_the_float_digest(self, real):
+        config = self.reals_config(real)
+        assert config_digest(config) == config_digest(self.reals_config(float))
+        scenario = config.scenario
+        reals = [config.split_ratio, config.threshold, *config.knot_probs]
+        reals += [scenario.attack_fraction, scenario.congested_fraction, scenario.vehicle_jitter_sigma]
+        cells = [cell for cell in vars(scenario).values() if isinstance(cell, CellParams)]
+        reals += [value for cell in cells for value in vars(cell).values()]
+        assert {type(value) for value in reals} == {float}
+
+    def test_integer_cell_parameters_are_stored_as_floats(self):
+        cell = CellParams(1, 1, 0, 4, 1)
+        assert all(type(value) is float for value in vars(cell).values())
+        assert type(ScenarioConfig(attack_fraction=1).attack_fraction) is float
+
+    def test_path_data_csv_is_stored_as_its_string(self):
+        config = ExperimentConfig(data_csv=Path("data") / "traffic.csv")
+        assert type(config.data_csv) is str
+        assert config_digest(config) == config_digest(ExperimentConfig(data_csv="data/traffic.csv"))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("models", ("logistic", "bspline")),
+            ("models", (ModelKind.LOGISTIC, "bspline")),
+            ("models", ModelKind.LOGISTIC),
+            ("threshold", "0.5"),
+            ("threshold", True),
+            ("split_ratio", None),
+            ("split_ratio", 1j),
+            ("knot_probs", ("a",)),
+            ("knot_probs", 0.5),
+            ("knot_probs", "0.5"),
+            ("data_csv", 3),
+            ("data_csv", b"traffic.csv"),
+        ],
+        ids=[
+            "models_str", "models_one_str", "models_not_a_sequence", "threshold_str", "threshold_bool",
+            "split_ratio_None", "split_ratio_complex", "knot_probs_str_entry", "knot_probs_not_a_sequence",
+            "knot_probs_str", "data_csv_int", "data_csv_bytes",
+        ],
+    )
+    def test_value_of_a_foreign_type_is_a_config_error_naming_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must "):
+            ExperimentConfig(**{field: value})
+
+
 
 class TestReportRendering:
     def test_text_mirrors_table_columns(self, default_report):
@@ -260,6 +327,13 @@ class TestCurves:
         assert lines[0].startswith("# config_digest=")
         assert lines[1] == "delay_ms," + ",".join(m.value for m in ALL_MODELS)
         assert len(lines) == 2 + 200
+
+    @pytest.mark.parametrize(
+        "grid_points", [200.0, "200", None, np.float64(200)], ids=["float", "str", "None", "float64"]
+    )
+    def test_grid_of_a_foreign_type_is_a_config_error(self, grid_points):
+        with pytest.raises(ConfigError, match="^grid_points must be in "):
+            emit_curves(ExperimentConfig(), grid_points)
 
     def test_digest_matches_experiment_run(self, default_report):
         bundle = emit_curves(ExperimentConfig(), grid_points=50)

@@ -6,6 +6,7 @@ import os
 import tracemalloc
 import warnings
 from bisect import bisect_right
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,13 @@ class TestGenerateDataset:
             CellParams(1.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ConfigError, match="drop_rate"):
             CellParams(1.0, 1.0, -2.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+    def test_real_beyond_the_float_range_is_a_config_error(self, value):
+        with pytest.raises(ConfigError, match="^vehicle_jitter_sigma must be a finite number"):
+            ScenarioConfig(vehicle_jitter_sigma=value)
+        with pytest.raises(ConfigError, match="^delay_mu must be a finite number"):
+            CellParams(value, 1.0, 1.0, 1.0, 1.0)
 
 
 # finite positive reals at both ends of the float64 range, subnormals and values that need 17 digits
