@@ -115,6 +115,8 @@ class ExperimentConfig:
             if not (isinstance(self.data_csv, (str, os.PathLike)) and isinstance(os.fspath(self.data_csv), str)):
                 raise ConfigError(f"data_csv must be a str or os.PathLike path, got {self.data_csv!r}")
             object.__setattr__(self, "data_csv", os.fspath(self.data_csv))
+        if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):
+            raise ConfigError(f"scenario must be a ScenarioConfig or None, got {self.scenario!r}")
         object.__setattr__(self, "split_ratio", _in_unit_interval("split_ratio", self.split_ratio))
         if not _is_integer(self.split_seed):
             raise ConfigError(f"split_seed must be an integer, got {self.split_seed!r}")

@@ -42,7 +42,10 @@ files they wrote still load.
 The CSV writer goes ``_BLOCK_ROWS`` rows at a time, so it never holds the
 whole file as text. It writes a block's reals with 3 decimals when they all
 lie on the 1 µs grid below ``_GRID_BOUND`` ms, and with 17 significant
-digits otherwise; either spelling reads back bit-exact. ``read_csv`` reads a
+digits otherwise; either spelling reads back bit-exact. A grid block is
+spelt from integers over the whole block: the int64 k of each real, and each
+drop count, becomes a digits × points array of ASCII bytes (``_digits``),
+whose text is what ``%.3f`` and ``%d`` print. ``read_csv`` reads a
 plain file (ASCII, with no quote, NUL or over-long line; see ``_plain_file``)
 with one ``np.loadtxt`` call and decodes its (congested, attack_type, label)
 bytes against the spellings ``write_csv`` writes. Any other file, or one that
@@ -289,6 +292,9 @@ class ScenarioConfig:
         ):
             raise ConfigError(f"attack_mix needs 4 nonnegative weights with a positive finite sum, got {mix!r}")
         object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
+        for name in _CELL_NAMES:
+            if not isinstance(getattr(self, name), CellParams):
+                raise ConfigError(f"{name} must be a CellParams, got {getattr(self, name)!r}")
 
 
 # the four cells of a scenario, indexed by 2 * attacked + congested
@@ -376,6 +382,8 @@ def _poisson_fault(stream: np.random.Generator, rate: float) -> str | None:
 
 # the last three fields of a written row, indexed by len(AttackType) * congested + attack code
 _ROW_TAILS = tuple(f"{c},{t.value},{int(t is not AttackType.NONE)}\n" for c in (0, 1) for t in AttackType)
+# the same tails, each after the comma that ends its row's interval, as rows of ASCII bytes padded with 0 bytes
+_TAIL_BYTES = np.array([("," + tail).encode() for tail in _ROW_TAILS]).view(np.uint8).reshape(len(_ROW_TAILS), -1)
 
 
 # below this many ms a real on the 1 µs grid, the double nearest some k / 1000, is within half an ulp
@@ -383,30 +391,64 @@ _ROW_TAILS = tuple(f"{c},{t.value},{int(t is not AttackType.NONE)}\n" for c in (
 _GRID_BOUND = 2.0**33
 
 
-def _on_grid(reals: np.ndarray) -> bool:
-    # the bound first, so that reals * 1000 cannot overflow
-    return bool((reals < _GRID_BOUND).all() and (_to_grid(reals) == reals).all())
+def _grid_steps(reals: np.ndarray) -> np.ndarray | None:
+    """The int64 k of each real k / 1000 in ``reals``, or None unless all lie on the 1 µs grid below the bound."""
+    if not (reals < _GRID_BOUND).all():  # first, so that reals * 1000 cannot overflow
+        return None
+    steps = np.rint(reals * 1000.0)  # the arithmetic of _to_grid
+    return steps.astype(np.int64) if (steps / 1000.0 == reals).all() else None
+
+
+def _digits(values: np.ndarray, keep: int) -> np.ndarray:
+    """The decimal digits of nonnegative int64 ``values`` as ASCII bytes, laid out digits × points, aligned right.
+
+    Each leading zero beyond the last ``keep`` digits is a 0 byte.
+    """
+    width = max(keep, len(str(values.max())))
+    out = np.empty((width, len(values)), np.uint8)
+    rest = values
+    for row in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        out[row] = digit + ord("0")
+    places = 10 ** np.arange(width - 1, keep - 1, -1, dtype=np.int64)
+    out[: width - keep][values < places[:, None]] = 0
+    return out
+
+
+def _grid_rows(delay_steps: np.ndarray, drops: np.ndarray, interval_steps: np.ndarray, tails: np.ndarray) -> bytes:
+    """The CSV rows of reals k / 1000, given by their k, spelt as ``%.3f`` and ``%d`` spell them."""
+    delay, interval = _digits(delay_steps, 4), _digits(interval_steps, 4)
+    dot, comma = (np.full((1, len(tails)), ord(char), np.uint8) for char in ".,")
+    rows = np.concatenate([
+        delay[:-3], dot, delay[-3:], comma, _digits(drops, 1), comma, interval[:-3], dot, interval[-3:],
+        _TAIL_BYTES[tails].T,
+    ])
+    return rows.T[rows.T != 0].tobytes()
 
 
 def write_csv(table: TrafficTable, path: str | Path) -> None:
     """Write ``table`` in the canonical schema, ``_BLOCK_ROWS`` rows at a time, so that it reads back bit-exact.
 
     A block whose reals all lie on the 1 µs grid (see ``_to_grid``) and below
-    ``_GRID_BOUND`` ms writes them with 3 decimals; any other block writes
-    them with 17 significant digits.
+    ``_GRID_BOUND`` ms writes them with 3 decimals, spelt from their k by
+    ``_grid_rows``, the text ``%.3f`` gives; any other block writes them
+    with ``%.17g``, 17 significant digits.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LINE)
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
             tails = block.congested * len(AttackType) + block.attack_code
-            on_grid = _on_grid(block.packet_delay_ms) and _on_grid(block.transfer_interval_ms)
-            fh.write("".join(map(("%.3f,%d,%.3f,%s" if on_grid else "%.17g,%d,%.17g,%s").__mod__, zip(
-                block.packet_delay_ms.tolist(),
-                block.packets_dropped.tolist(),
-                block.transfer_interval_ms.tolist(),
-                map(_ROW_TAILS.__getitem__, tails.tolist()),
-            ))))
+            delay, interval = _grid_steps(block.packet_delay_ms), _grid_steps(block.transfer_interval_ms)
+            if delay is not None and interval is not None:
+                fh.write(_grid_rows(delay, block.packets_dropped, interval, tails))
+            else:
+                fh.write("".join(map("%.17g,%d,%.17g,%s".__mod__, zip(
+                    block.packet_delay_ms.tolist(),
+                    block.packets_dropped.tolist(),
+                    block.transfer_interval_ms.tolist(),
+                    map(_ROW_TAILS.__getitem__, tails.tolist()),
+                ))).encode("ascii"))
 
 
 _TYPE_CODES = {t.value: code for code, t in enumerate(AttackType)}  # NONE is 0

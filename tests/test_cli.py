@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -577,11 +578,12 @@ def _invocation(draw):
 @given(_invocation())
 def test_malformed_input_ends_in_one_message(trained, invocation):
     argv, files = invocation
-    valid_data, valid_model = trained
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "scenario.json").write_text(files["scenario"], encoding="utf-8")
         (tmp / "data.csv").write_text(files["data"], encoding="utf-8")
+        # copies, as an invocation may name a valid file as its --out, --save or --report path
+        valid_data, valid_model = (Path(shutil.copy(path, tmp / f"valid_{path.name}")) for path in trained)
         paths = {
             "data": tmp / "data.csv", "scenario": tmp / "scenario.json", "out": tmp / "out",
             "dir": tmp, "absent": tmp / "absent", "valid_data": valid_data, "valid_model": valid_model,

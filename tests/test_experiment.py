@@ -250,11 +250,13 @@ class TestConfigDigest:
             ("knot_probs", "0.5"),
             ("data_csv", 3),
             ("data_csv", b"traffic.csv"),
+            ("scenario", "x"),
+            ("scenario", {"seed": 1}),
         ],
         ids=[
             "models_str", "models_one_str", "models_not_a_sequence", "threshold_str", "threshold_bool",
             "split_ratio_None", "split_ratio_complex", "knot_probs_str_entry", "knot_probs_not_a_sequence",
-            "knot_probs_str", "data_csv_int", "data_csv_bytes",
+            "knot_probs_str", "data_csv_int", "data_csv_bytes", "scenario_str", "scenario_dict",
         ],
     )
     def test_value_of_a_foreign_type_is_a_config_error_naming_its_field(self, field, value):

@@ -139,6 +139,11 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError, match="drop_rate"):
             CellParams(1.0, 1.0, -2.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("cell", simulate._CELL_NAMES)
+    def test_cell_of_a_foreign_type_is_a_config_error_naming_its_field(self, cell):
+        with pytest.raises(ConfigError, match=f"^{cell} must be a CellParams, got {{'delay_mu': 1}}$"):
+            ScenarioConfig(**{cell: {"delay_mu": 1}})
+
     @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
     def test_real_beyond_the_float_range_is_a_config_error(self, value):
         with pytest.raises(ConfigError, match="^vehicle_jitter_sigma must be a finite number"):
@@ -279,7 +284,7 @@ class TestCsvRoundTrip:
         assert real < simulate._GRID_BOUND
         assert float("%.3f" % real) == real
         assert np.rint(real * 1000) == k
-        assert simulate._on_grid(np.array([real]))
+        assert simulate._grid_steps(np.array([real])).tolist() == [k]
 
     def test_every_grid_real_below_1000_ms_round_trips(self, tmp_path):
         k = np.arange(1, 10**6)
@@ -1075,6 +1080,115 @@ class TestReaderParity:
         write_rows(path, rows)
         with pytest.raises(ParseError, match="^line 3: packets_dropped must fit in int64"):
             read_csv(path)
+
+
+def oracle_on_grid(reals):
+    # the bound first, so that reals * 1000 cannot overflow
+    return bool((reals < simulate._GRID_BOUND).all() and (np.rint(reals * 1000.0) / 1000.0 == reals).all())
+
+
+def oracle_write_csv(table, path):
+    """The writer before the digit kernel: Python's % formats each field, with 3 decimals in a grid block."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(table), simulate._BLOCK_ROWS):
+            block = table[start : start + simulate._BLOCK_ROWS]
+            tails = block.congested * len(AttackType) + block.attack_code
+            on_grid = oracle_on_grid(block.packet_delay_ms) and oracle_on_grid(block.transfer_interval_ms)
+            fh.write("".join(map(("%.3f,%d,%.3f,%s" if on_grid else "%.17g,%d,%.17g,%s").__mod__, zip(
+                block.packet_delay_ms.tolist(),
+                block.packets_dropped.tolist(),
+                block.transfer_interval_ms.tolist(),
+                map(simulate._ROW_TAILS.__getitem__, tails.tolist()),
+            ))))
+
+
+# the fewest and most digits of a grid real and of a drop count, and where a digit is added
+EDGE_STEPS = [1, 999, 1000, int(simulate._GRID_BOUND) * 1000 - 1]
+EDGE_DROPS = [0, 9, 10, 2**63 - 1]
+TAILS = 2 * len(AttackType)  # a tail is indexed by len(AttackType) * congested + attack code
+
+
+def table_of(rows):
+    """The table of (delay, drops, interval, tail index) rows."""
+    delay, drops, interval, tail = (list(column) for column in zip(*rows)) if rows else ([],) * 4
+    congested, code = ([divmod(t, len(AttackType))[i] for t in tail] for i in (0, 1))
+    return TrafficTable(delay, drops, interval, congested, code)
+
+
+def edge_rows():
+    """Every tail once, with the edge grid reals and drop counts spread over the rows."""
+    return [
+        (EDGE_STEPS[i % 4] / 1000, EDGE_DROPS[i % 4], EDGE_STEPS[(i + 1) % 4] / 1000, i) for i in range(TAILS)
+    ]
+
+
+class TestWriterParity:
+    """write_csv writes the bytes of the %-format writer, on grid blocks and 17-digit blocks alike."""
+
+    def check(self, tmp_path, table):
+        mine, oracle = tmp_path / "mine.csv", tmp_path / "oracle.csv"
+        write_csv(table, mine)
+        oracle_write_csv(table, oracle)
+        assert mine.read_bytes() == oracle.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(EDGE_STEPS), grid_steps).map(lambda k: k / 1000),
+                st.one_of(st.sampled_from(EDGE_DROPS), st.integers(0, 2**63 - 1)),
+                st.one_of(st.sampled_from(EDGE_STEPS), grid_steps).map(lambda k: k / 1000),
+                st.integers(0, TAILS - 1),
+            ),
+            max_size=20,
+        ),
+        # (row, real) pairs that take a row's delay or interval off the grid, so its block is written with %.17g
+        off_grid=st.lists(st.tuples(st.integers(0, 19), st.booleans(), extreme_reals), max_size=2),
+        block_rows=st.sampled_from([1, 2, 3, 4096]),
+    )
+    def test_random_tables_match_the_percent_format_writer(self, tmp_path_factory, rows, off_grid, block_rows):
+        for at, interval, real in off_grid:
+            if at < len(rows):
+                row = list(rows[at])
+                row[2 if interval else 0] = real
+                rows[at] = tuple(row)
+        with mock.patch.object(simulate, "_BLOCK_ROWS", block_rows):
+            self.check(tmp_path_factory.mktemp("parity"), table_of(rows))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("off_grid", [None, 0, 5, 9], ids=["on_grid", "first_row", "middle_row", "last_row"])
+    def test_edge_table_matches_the_percent_format_writer(self, tmp_path, monkeypatch, block_rows, off_grid):
+        rows = edge_rows()
+        if off_grid is not None:
+            rows[off_grid] = (1.0005, *rows[off_grid][1:])  # between two grid points
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        self.check(tmp_path, table_of(rows))
+
+    def test_edge_table_text(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        write_csv(table_of(edge_rows()[:4]), path)
+        assert path.read_text().splitlines()[1:] == [
+            "0.001,0,0.999,0,none,0",
+            "0.999,9,1.000,0,probe,1",
+            "1.000,10,8589934591.999,0,dos,1",
+            "8589934591.999,9223372036854775807,0.001,0,u2r,1",
+        ]
+
+    @pytest.mark.parametrize("n,seed", [(1, 3), (600, 2), (20_000, 42)])
+    def test_generated_tables_match_the_percent_format_writer(self, tmp_path, n, seed):
+        self.check(tmp_path, generate_dataset(ScenarioConfig(n_records=n, seed=seed)))
+
+
+def test_write_peak_allocation_stays_below_1_mb(tmp_path):
+    table = generate_dataset(ScenarioConfig(n_records=100_000, seed=3))
+    tracemalloc.start()
+    try:
+        write_csv(table, tmp_path / "traffic.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_read_peak_allocation_stays_near_the_table(tmp_path):
