@@ -501,7 +501,7 @@ def load_model(path: str | Path) -> LogisticModel:
         raise ModelLoadError(f"cannot read model file {path}: {err}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FILE_FORMAT:
         raise ModelLoadError(f"{path} is not a model file")
-    if doc.get("version") != MODEL_FILE_VERSION:
+    if not _JSON_KINDS["integer"](doc.get("version")) or doc["version"] != MODEL_FILE_VERSION:
         raise ModelLoadError(
             f"unsupported model file version {doc.get('version')!r}, expected {MODEL_FILE_VERSION}"
         )

@@ -15,8 +15,8 @@ delay and transfer interval float64, packet drops int64, the congestion flag
 bool, the attack type an int8 code into ``AttackType``), with the label
 derived from the attack code. The value rule ``_value_fault`` runs where
 values enter the program: building a table (from columns, from a generated
-block or from CSV rows) checks all its columns at once, while rows taken
-from checked tables, by indexing or concatenation, are not checked again.
+scenario or from a CSV file) checks all its columns at once, while rows taken
+from a checked table by indexing are not checked again.
 Iterating a table yields :class:`TrafficRecord` rows.
 
 Randomness: one PCG64 stream per column, seeded by the children of
@@ -34,25 +34,22 @@ Randomness: one PCG64 stream per column, seeded by the children of
 6. the Poisson drops, at each record's cell rate;
 7. the interval normals.
 
-No draw keeps words back for the next, so the records do not depend on
-``_BLOCK_ROWS``. Earlier versions drew one record at a time from one stream,
-and kept every bit of a draw, so a seed now names different records; CSV
-files they wrote still load.
-
-The CSV writer goes ``_BLOCK_ROWS`` rows at a time, so it never holds the
-whole file as text. It writes a block's reals with 3 decimals when they all
-lie on the 1 µs grid below ``_GRID_BOUND`` ms, and with 17 significant
-digits otherwise; either spelling reads back bit-exact. A grid block is
-spelt from integers over the whole block: the int64 k of each real, and each
-drop count, becomes a digits × points array of ASCII bytes (``_digits``),
-whose text is what ``%.3f`` and ``%d`` print. ``read_csv`` reads a
-plain file (ASCII, with no quote, NUL or over-long line; see ``_plain_file``)
-with one ``np.loadtxt`` call and decodes its (congested, attack_type, label)
-bytes against the spellings ``write_csv`` writes. Any other file, or one that
-``loadtxt`` refuses or whose rows fail a check, is read again from its first
-line with ``csv.reader``: one per-row rule, ``_row_fault``, checks each row
-in a fixed order and converts its fields once, and the first faulty row
-raises with its file line.
+Each column is drawn whole, and a generated scenario, like a file read,
+is built as one table. Only the CSV writer goes in blocks, ``_BLOCK_ROWS``
+rows at a time, so it never holds the whole file as text. It writes a
+block's reals with 3 decimals when they all lie on the 1 µs grid below
+``_GRID_BOUND`` ms, and with 17 significant digits otherwise; either
+spelling reads back bit-exact. A grid block is spelt from integers over the
+whole block: the int64 k of each real, and each drop count, becomes a
+digits × points array of ASCII bytes (``_digits``), whose text is what
+``%.3f`` and ``%d`` print. ``read_csv`` reads a plain file (ASCII, with no
+quote, NUL or over-long line; see ``_plain_file``) with one ``np.loadtxt``
+call and decodes its (congested, attack_type, label) bytes against the
+spellings ``write_csv`` writes. Any other file, or one that ``loadtxt``
+refuses or whose rows fail a check, is read again from its first line with
+``csv.reader``: one per-row rule, ``_row_fault``, checks each row in a fixed
+order and appends its converted fields to typed columns, and the first
+faulty row raises with its file line.
 """
 
 import csv
@@ -60,6 +57,7 @@ import json
 import math
 import numbers
 import warnings
+from array import array
 from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -150,8 +148,8 @@ class TrafficTable:
     ``NONE``) and the label is derived from it. Building a table runs the
     value rule, ``_value_fault``, on every row at once, and the first row
     that breaks the rule raises :class:`RowError` with that rule's message.
-    Rows taken from checked tables (``table[rows]`` and ``_concat``) are not
-    checked again; they keep the read-only columns and the 1-D shape check.
+    Rows taken from a checked table (``table[rows]``) are not checked again;
+    they keep the read-only columns and the 1-D shape check.
     """
 
     packet_delay_ms: np.ndarray
@@ -179,15 +177,6 @@ class TrafficTable:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
 
-    @classmethod
-    def _of_checked(cls, columns: Iterable[np.ndarray]) -> "TrafficTable":
-        """The table of columns taken from checked tables, without running the value rule again."""
-        table = object.__new__(cls)
-        for (name, _), column in zip(_COLUMNS, columns):
-            object.__setattr__(table, name, column)
-        table._freeze()
-        return table
-
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name, _ in _COLUMNS)
 
@@ -206,8 +195,12 @@ class TrafficTable:
         return len(self.packet_delay_ms)
 
     def __getitem__(self, rows) -> "TrafficTable":
-        """The table of ``rows``: a slice, an array of row indices or a boolean mask."""
-        return TrafficTable._of_checked(column[rows] for column in self._columns())
+        """The table of ``rows``: a slice, an array of row indices or a boolean mask, not checked again."""
+        table = object.__new__(TrafficTable)
+        for (name, _), column in zip(_COLUMNS, self._columns()):
+            object.__setattr__(table, name, column[rows])
+        table._freeze()
+        return table
 
     def __iter__(self) -> Iterator[TrafficRecord]:
         types = tuple(AttackType)
@@ -301,25 +294,18 @@ class ScenarioConfig:
 _CELL_NAMES = ("normal_uncongested", "normal_congested", "attack_uncongested", "attack_congested")
 
 
-_BLOCK_ROWS = 4096  # records drawn or written, or csv.reader rows converted, at a time
-
-
-def _concat(tables: Sequence[TrafficTable]) -> TrafficTable:
-    if len(tables) == 1:
-        return tables[0]
-    return TrafficTable._of_checked(np.concatenate(column) for column in zip(*(t._columns() for t in tables)))
+_BLOCK_ROWS = 4096  # rows written at a time
 
 
 def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     """Generate exactly ``config.n_records`` records, deterministic per seed.
 
-    The columns are drawn as the module docstring says, ``_BLOCK_ROWS``
-    records at a time, and the delays and intervals are rounded to the 1 µs
-    grid; each block is checked as a table before the next is drawn. The
-    first invalid record is named: a record whose Poisson rate numpy
-    rejects, or one whose values break the table's value rule (a delay or
-    interval that overflows, or rounds to 0), whichever comes first; at one
-    record, the rejected rate is reported.
+    Each column is drawn whole, as the module docstring says, the delays and
+    intervals are rounded to the 1 µs grid, and the columns are checked as
+    one table. The first invalid record is named: a record whose Poisson
+    rate numpy rejects, or one whose values break the table's value rule (a
+    delay or interval that overflows, or rounds to 0), whichever comes
+    first; at one record, the rejected rate is reported.
     """
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
     jitter_rng, congested_rng, attacked_rng, type_rng, vehicle_rng, delay_rng, drops_rng, interval_rng = streams
@@ -327,33 +313,29 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     delay_mu, delay_sigma, drop_rate, interval_mu, interval_sigma = np.array(
         [list(vars(getattr(config, cell)).values()) for cell in _CELL_NAMES]
     ).T
+    m = config.n_records
+    congested = congested_rng.random(m) < config.congested_fraction
+    attacked = attacked_rng.random(m) < config.attack_fraction
+    codes = np.where(attacked, _attack_type_index(config.attack_mix, type_rng.random(m)) + 1, 0)
+    vehicle = (vehicle_rng.random(m) * config.n_vehicles).astype(np.intp)
+    cell = 2 * attacked + congested
+    # an overflowing draw gives inf or NaN and one below 0.5 µs rounds to 0, which the table's check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        delay = np.exp(delay_mu[cell] + jitter[vehicle] + delay_sigma[cell] * delay_rng.standard_normal(m))
+        interval = np.exp(interval_mu[cell] + interval_sigma[cell] * interval_rng.standard_normal(m))
+        delay, interval = _to_grid(delay), _to_grid(interval)
+    # a vector Poisson call rejects the whole array, so the records before the first rejected rate draw alone
     rate_faults = [_poisson_fault(drops_rng, rate) for rate in drop_rate.tolist()]
-    rejected = np.array([fault is not None for fault in rate_faults])
-
-    tables = []
-    for start in range(0, config.n_records, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, config.n_records - start)
-        congested = congested_rng.random(m) < config.congested_fraction
-        attacked = attacked_rng.random(m) < config.attack_fraction
-        codes = np.where(attacked, _attack_type_index(config.attack_mix, type_rng.random(m)) + 1, 0)
-        vehicle = (vehicle_rng.random(m) * config.n_vehicles).astype(np.intp)
-        cell = 2 * attacked + congested
-        # an overflowing draw gives inf or NaN and one below 0.5 µs rounds to 0, which the table's check rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            delay = np.exp(delay_mu[cell] + jitter[vehicle] + delay_sigma[cell] * delay_rng.standard_normal(m))
-            interval = np.exp(interval_mu[cell] + interval_sigma[cell] * interval_rng.standard_normal(m))
-            delay, interval = _to_grid(delay), _to_grid(interval)
-        # a vector Poisson call rejects the whole array, so the rows before the first rejected rate draw alone
-        bad = rejected[cell]
-        n = int(bad.argmax()) if bad.any() else m
-        drops = drops_rng.poisson(drop_rate[cell[:n]])
-        try:
-            tables.append(TrafficTable(delay[:n], drops, interval[:n], congested[:n], codes[:n]))
-        except RowError as err:
-            raise ConfigError(f"scenario draws an invalid record {start + err.row}: {err.reason}") from None
-        if n < m:
-            raise ConfigError(f"scenario draws an invalid record {start + n}: {rate_faults[cell[n]]}")
-    return _concat(tables)
+    bad = np.array([fault is not None for fault in rate_faults])[cell]
+    n = int(bad.argmax()) if bad.any() else m
+    drops = drops_rng.poisson(drop_rate[cell[:n]])
+    try:
+        table = TrafficTable(delay[:n], drops, interval[:n], congested[:n], codes[:n])
+    except RowError as err:
+        raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
+    if n < m:
+        raise ConfigError(f"scenario draws an invalid record {n}: {rate_faults[cell[n]]}")
+    return table
 
 
 def _to_grid(values: np.ndarray) -> np.ndarray:
@@ -460,14 +442,15 @@ _HEADER_LINE = (CSV_HEADER + "\n").encode()
 _ROW_DTYPE = np.dtype([*_COLUMNS[:3], ("congested", "S2"), ("attack_type", "S8"), ("label", "S2")])
 
 
-def _row_fault(row: list[str], values: list[tuple]) -> str | None:
-    """The first check the csv ``row`` fails, or None once its converted values are appended to ``values``.
+def _row_fault(row: list[str], columns: tuple[array, ...]) -> str | None:
+    """The first check the csv ``row`` fails, or None once its converted values are appended to ``columns``.
 
     The checks, in order: the field count, the attack type, the congested
     flag, the conversion of each numeric field (a drop count must also fit
     in int64), the value rule ``_value_fault``, then the label: 0 or 1, and
-    1 exactly when the record is an attack. The values appended are
-    (delay, drops, interval, congested, attack code).
+    1 exactly when the record is an attack. Each of the five ``columns``,
+    typed arrays in ``_COLUMNS`` order, gets one of the row's values: delay,
+    drops, interval, congested (0 or 1), attack code.
     """
     if len(row) != 6:
         return f"expected 6 fields, got {len(row)}"
@@ -491,13 +474,15 @@ def _row_fault(row: list[str], values: list[tuple]) -> str | None:
         return f"label must be 0 or 1, got {label}"
     if label != (code != 0):
         return f"label {label} inconsistent with attack_type {type_s}"
-    values.append((delay, drops, interval, _FLAGS[flag_s], code))
+    for column, value in zip(columns, (delay, drops, interval, _FLAGS[flag_s], code)):
+        column.append(value)
     return None
 
 
 def _read_rows(path: str | Path) -> TrafficTable:
     """Read ``path`` with ``csv.reader``; the first row ``_row_fault`` rejects raises, named by its first file line."""
-    tables, values = [], []
+    # typed arrays, 26 bytes a row, which numpy views in place, all but the flags
+    columns = tuple(array(typecode) for typecode in "dqdbb")
     # undecodable bytes fail the field checks, which name their line
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
@@ -507,15 +492,11 @@ def _read_rows(path: str | Path) -> TrafficTable:
         line = reader.line_num + 1
         for row in reader:
             if row:
-                fault = _row_fault(row, values)
+                fault = _row_fault(row, columns)
                 if fault is not None:
                     raise ParseError(f"line {line}: {fault}")
-                if len(values) == _BLOCK_ROWS:
-                    tables.append(TrafficTable(*zip(*values)))
-                    values = []
             line = reader.line_num + 1  # a quoted field may hold newlines
-    tables.append(TrafficTable(*(zip(*values) if values else [()] * len(_COLUMNS))))
-    return _concat(tables)
+    return TrafficTable(*columns)
 
 
 def _plain_file(path: str | Path) -> bool:

@@ -540,14 +540,16 @@ class TestModelPersistence:
         with pytest.raises(ModelLoadError):
             load_model(path)
 
-    def test_version_mismatch(self, tmp_path):
+    # True and 1.0 equal the version 1 in Python, but are a JSON boolean and a JSON real
+    @pytest.mark.parametrize("version", [999, True, 1.0])
+    def test_version_mismatch(self, tmp_path, version):
         model, _ = self.fitted()
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["version"] = 999
+        doc["version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelLoadError, match="version"):
+        with pytest.raises(ModelLoadError, match=f"^unsupported model file version {version!r}, expected 1$"):
             load_model(path)
 
     def test_wrong_format_marker(self, tmp_path):

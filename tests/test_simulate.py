@@ -482,7 +482,7 @@ def test_csv_digest_with_a_million_vehicles_on_the_1us_grid_is_pinned(tmp_path):
 
 
 def oracle_generate_dataset(config: ScenarioConfig) -> TrafficTable:
-    """An unblocked draw: each column whole from its stream, then a scalar loop over the records.
+    """Each column whole from its stream, then a scalar loop over the records.
 
     The loop works out each record's cell, attack type, vehicle and log-values
     in Python floats, and draws its Poisson drops with a scalar call, which
@@ -573,15 +573,12 @@ scenarios = st.builds(
 
 
 class TestGeneratorOracle:
-    """``generate_dataset`` equals an unblocked draw of the same streams, at every block size."""
+    """``generate_dataset`` equals a scalar loop over the same streams, whatever the writer's block size."""
 
     @settings(max_examples=200, deadline=None)
     @given(config=scenarios)
     def test_matches_the_scalar_loop(self, config):
-        expected = generated(oracle_generate_dataset, config)
-        for block_rows in BLOCK_SIZES:
-            with mock.patch.object(simulate, "_BLOCK_ROWS", block_rows):
-                assert generated(generate_dataset, config) == expected, block_rows
+        assert generated(generate_dataset, config) == generated(oracle_generate_dataset, config)
 
     @pytest.mark.parametrize("n_vehicles", VEHICLE_COUNTS)
     def test_matches_the_scalar_loop_beside_a_block_boundary(self, monkeypatch, n_vehicles):
@@ -716,19 +713,6 @@ class TestTrafficTable:
         for name, dtype in simulate._COLUMNS:
             column = getattr(got, name)
             assert column.ndim == 1 and column.dtype == dtype and not column.flags.writeable
-
-    def test_concatenation_equals_a_checked_build_of_the_same_columns(self):
-        t = self.table
-        parts = [t[:10], t[t.congested], t[:0], t[np.array([49, 2])]]
-        with mock.patch.object(TrafficTable, "__post_init__", side_effect=AssertionError("checked again")):
-            got = simulate._concat(parts)
-        want = TrafficTable(
-            **{name: np.concatenate([getattr(p, name) for p in parts]) for name, _ in simulate._COLUMNS}
-        )
-        assert got == want and len(got) == sum(map(len, parts))
-        for name, _ in simulate._COLUMNS:
-            column = getattr(got, name)
-            assert column.ndim == 1 and not column.flags.writeable
 
     @pytest.mark.parametrize("index", [3, -1, np.int64(7)])
     def test_scalar_index_raises(self, index):
@@ -1203,18 +1187,33 @@ def test_read_peak_allocation_stays_near_the_table(tmp_path):
     assert peak <= 2.5 * table.nbytes
 
 
-def test_csv_reader_path_peak_allocation_stays_near_the_table(tmp_path):
-    # a quoted header name keeps the file off the plain path, so each row goes through csv.reader
-    path = tmp_path / "traffic.csv"
-    write_csv(generate_dataset(ScenarioConfig(n_records=100_000, seed=3)), path)
+def write_quoted_header_csv(path, n):
+    """Write ``n`` generated records to ``path``, with a quoted header name that keeps the file off the plain path."""
+    write_csv(generate_dataset(ScenarioConfig(n_records=n, seed=3)), path)
     path.write_bytes(path.read_bytes().replace(b"packet_delay_ms", b'"packet_delay_ms"', 1))
+
+
+def test_csv_reader_path_peak_allocation_stays_near_the_table(tmp_path):
+    path = tmp_path / "traffic.csv"
+    write_quoted_header_csv(path, 100_000)
     tracemalloc.start()
     try:
         table = read_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.nbytes
+    assert peak <= 1.5 * table.nbytes
+
+
+@pytest.mark.parametrize("source", ["generate_dataset", "read_csv"])
+def test_each_input_builds_one_checked_table(tmp_path, source):
+    n, path = 10_000, tmp_path / "traffic.csv"
+    write_quoted_header_csv(path, n)  # read on the csv.reader path
+    check = TrafficTable.__post_init__
+    with mock.patch.object(TrafficTable, "__post_init__", autospec=True, side_effect=check) as spy:
+        table = generate_dataset(ScenarioConfig(n_records=n)) if source == "generate_dataset" else read_csv(path)
+    assert len(table) == n
+    assert spy.call_count == 1
 
 
 def test_generate_peak_allocation_stays_near_the_table():
