@@ -101,7 +101,7 @@ def _add_experiment_args(p):
     p.add_argument("--models", default=",".join(m.value for m in exp.ALL_MODELS))
     _add_fit_args(p)
     p.add_argument("--threshold", type=float, default=defaults.threshold)
-    p.add_argument("--filter", choices=("all", "congested", "uncongested"), default=defaults.congestion_filter)
+    p.add_argument("--filter", choices=exp.CONGESTION_FILTERS, default=defaults.congestion_filter)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the five-model comparison")
     _add_experiment_args(p)
     p.add_argument("--report", help="write the report here (default: stdout)")
-    p.add_argument("--format", choices=("text", "csv"), default=fmt)
+    p.add_argument("--format", choices=exp.REPORT_FORMATS, default=fmt)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("curves", help="emit prediction curves over a delay grid")

@@ -14,7 +14,6 @@ record stays scored.
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateKnotsError, EmptyDataError, InsufficientDataError, ModelLoadError, SplitError
+from .errors import ConfigError, DegenerateKnotsError, EmptyDataError, ModelLoadError, SplitError
 from .logistic import (
     ConfusionMatrix,
     LogisticModel,
@@ -34,7 +33,8 @@ from .logistic import (
     fit_logistic,
     predict_prob,
 )
-from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, generate_dataset, json_default, read_csv
+from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, checked_float, checked_int, generate_dataset
+from .simulate import json_default, read_csv
 from .splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 MODEL_FILE_FORMAT = "splineids-model"
@@ -71,19 +71,10 @@ _FOOTNOTE = (
 )
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# the congestion filters: every record, the congested ones, the uncongested ones
+CONGESTION_FILTERS = ("all", "congested", "uncongested")
 
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _in_unit_interval(name: str, value) -> float:
-    """``value`` as a float; a value that is not a real number in (0, 1) is a ConfigError."""
-    if not (_is_real(value) and 0.0 < value < 1.0):
-        raise ConfigError(f"{name} must be a number in (0, 1), got {value!r}")
-    return float(value)
+REPORT_FORMATS = ("text", "csv")
 
 
 def _as_tuple(name: str, value) -> tuple:
@@ -117,18 +108,13 @@ class ExperimentConfig:
             object.__setattr__(self, "data_csv", os.fspath(self.data_csv))
         if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):
             raise ConfigError(f"scenario must be a ScenarioConfig or None, got {self.scenario!r}")
-        object.__setattr__(self, "split_ratio", _in_unit_interval("split_ratio", self.split_ratio))
-        if not _is_integer(self.split_seed):
-            raise ConfigError(f"split_seed must be an integer, got {self.split_seed!r}")
-        if self.split_seed < 0:
-            raise ConfigError("split_seed must be >= 0")
-        object.__setattr__(self, "split_seed", int(self.split_seed))  # a numpy integer would not encode as JSON
+        object.__setattr__(self, "split_ratio", checked_float("split_ratio", self.split_ratio, 0, 1, open_=True))
+        object.__setattr__(self, "split_seed", checked_int("split_seed", self.split_seed, 0))
         probs = _as_tuple("knot_probs", self.knot_probs)
-        if not (probs and all(_is_real(p) and 0.0 < p < 1.0 for p in probs)) or any(
-            q <= p for p, q in zip(probs, probs[1:])
-        ):
+        probs = tuple(checked_float("knot_probs", p, 0, 1, open_=True) for p in probs)
+        if not probs or any(q <= p for p, q in zip(probs, probs[1:])):
             raise ConfigError(f"knot_probs must be strictly increasing in (0, 1), got {self.knot_probs!r}")
-        object.__setattr__(self, "knot_probs", tuple(map(float, probs)))
+        object.__setattr__(self, "knot_probs", probs)
         models = _as_tuple("models", self.models)
         stray = [m for m in models if not isinstance(m, ModelKind)]
         if stray:
@@ -136,12 +122,11 @@ class ExperimentConfig:
         object.__setattr__(self, "models", models)
         if not models or len(set(models)) != len(models):
             raise ConfigError("models must be a nonempty set of distinct model names")
-        object.__setattr__(self, "threshold", _in_unit_interval("threshold", self.threshold))
-        if not _is_integer(self.bspline_degree) or self.bspline_degree not in (1, 2, 3):
-            raise ConfigError("bspline_degree must be 1, 2 or 3")
-        object.__setattr__(self, "bspline_degree", int(self.bspline_degree))
-        if self.congestion_filter not in ("all", "congested", "uncongested"):
-            raise ConfigError("congestion_filter must be all, congested or uncongested")
+        object.__setattr__(self, "threshold", checked_float("threshold", self.threshold, 0, 1, open_=True))
+        object.__setattr__(self, "bspline_degree", checked_int("bspline_degree", self.bspline_degree, 1, 3))
+        if self.congestion_filter not in CONGESTION_FILTERS:
+            names = ", ".join(CONGESTION_FILTERS)
+            raise ConfigError(f"congestion_filter must be one of {names}, got {self.congestion_filter!r}")
 
 
 @dataclass(frozen=True)
@@ -229,9 +214,9 @@ def load_records(config: ExperimentConfig) -> TrafficTable:
 
 
 def _filter_records(records: TrafficTable, which: str) -> TrafficTable:
-    if which == "all":
-        return records
-    return records[records.congested == (which == "congested")]
+    """The ``records`` that ``which``, one of ``CONGESTION_FILTERS``, keeps."""
+    everything, congested, _ = CONGESTION_FILTERS
+    return records if which == everything else records[records.congested == (which == congested)]
 
 
 @dataclass(frozen=True)
@@ -248,12 +233,11 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
 
     The knots are the ``config.knot_probs`` quantiles of ``x``; the B-spline
     domain is the range of ``x``. Models come back in ``ALL_MODELS`` order.
-    Labels of one class have no maximum-likelihood fit and raise
-    :class:`InsufficientDataError`.
+    Knots that do not lie strictly inside that range raise
+    :class:`DegenerateKnotsError`, before any fit; ``fit_logistic`` raises
+    :class:`InsufficientDataError` for labels of one class.
     """
     knots = quantile_knots(x, config.knot_probs)
-    if np.all(y == y[0]):
-        raise InsufficientDataError(f"every training label is {y[0]}; a fit needs both classes, 0 and 1")
     domain = (float(x.min()), float(x.max()))
     if not (domain[0] < knots[0] and knots[-1] < domain[1]):
         raise DegenerateKnotsError(
@@ -334,12 +318,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def render_report(report: ExperimentReport, fmt: str = "text") -> str:
-    """Render a report; text mirrors the TP/FP/TN/FN/accuracy table layout."""
-    if fmt == "text":
-        return _render_text(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    raise ConfigError(f"unknown report format '{fmt}'")
+    """Render a report in one of ``REPORT_FORMATS``; text mirrors the TP/FP/TN/FN/accuracy table layout."""
+    if fmt not in REPORT_FORMATS:
+        raise ConfigError(f"unknown report format '{fmt}'")
+    text, _ = REPORT_FORMATS
+    return _render_text(report) if fmt == text else _render_csv(report)
 
 
 def _fmt_knots(knots: Sequence[float]) -> str:
@@ -417,8 +400,7 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     curve can be replotted without extrapolation.
     """
     global _last_fit
-    if not (_is_integer(grid_points) and 2 <= grid_points <= MAX_COUNT):
-        raise ConfigError(f"grid_points must be in [2, {MAX_COUNT}], got {grid_points!r}")
+    grid_points = checked_int("grid_points", grid_points, 2, MAX_COUNT)
     last, _last_fit = _last_fit, None
     report, fitted = last[1] if last is not None and last[0] == config else _run(config)
     delays = np.linspace(*fitted.domain, grid_points)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataError, NumericalError, ShapeError
+from .errors import EmptyDataError, InsufficientDataError, NumericalError, ShapeError
 from .splines import SplineBasisSpec, basis_matrix
 
 MAX_ITERATIONS = 50
@@ -213,26 +213,25 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
 def fit_logistic(dm: DesignMatrix, labels: Sequence[int]) -> LogisticModel:
     """Maximum-likelihood logistic fit of binary ``labels`` on ``dm``.
 
-    Single-class label vectors are not an error; they drive the fit into
-    the separation stop and come back flagged.
+    Labels of one class have no maximum-likelihood fit and raise
+    :class:`InsufficientDataError`.
     """
     y = np.asarray(labels, dtype=float)
     if y.ndim != 1 or y.size != dm.n_rows:
         raise ShapeError(f"labels length {y.size} != design rows {dm.n_rows}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
+    if np.all(y == y[0]):
+        raise InsufficientDataError(f"every training label is {int(y[0])}; a fit needs both classes, 0 and 1")
 
     trace = irls(dm.matrix, y)
-    # a single-class label vector is separated by definition, even if the
-    # likelihood plateaus before probabilities reach the band
-    single_class = bool(np.all(y == y[0]))
     return LogisticModel(
         intercept=float(trace.beta[0]),
         coefficients=tuple(float(b) for b in trace.beta[1:]),
         basis_spec=dm.basis_spec,
         converged=trace.converged,
         iterations=trace.iterations,
-        separation_flag=trace.separated or single_class,
+        separation_flag=trace.separated,
     )
 
 

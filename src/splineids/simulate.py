@@ -52,6 +52,7 @@ order and appends its converted fields to typed columns, and the first
 faulty row raises with its file line.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -83,11 +84,30 @@ MAX_COUNT = 1_000_000  # most records or vehicles a scenario may ask for
 CSV_HEADER = "packet_delay_ms,packets_dropped,transfer_interval_ms,congested,attack_type,label"
 
 
-def _is_finite_number(value) -> bool:
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int or a Fraction beyond the float range
-        return False
+def checked_int(name: str, value, lowest: int, highest: float = math.inf) -> int:
+    """``value`` stored as an int; a stored int outside ``[lowest, highest]``, or a non-integer, is a ConfigError."""
+    number = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else None
+    if number is None or not lowest <= number <= highest:
+        raise ConfigError(f"{name} must be an integer in [{lowest}, {highest}], got {value!r}")
+    return number
+
+
+def checked_float(name: str, value, lowest: float = -math.inf, highest: float = math.inf, open_: bool = False) -> float:
+    """``value`` stored as a float; a stored float that is not finite and within the bounds is a ConfigError.
+
+    The bounds are closed, ``[lowest, highest]``, or with ``open_``, ``(lowest, highest)``; the message
+    names them unless both are infinite.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int or a Fraction beyond the float range
+            number = float(value)
+    inside = lowest < number < highest if open_ else lowest <= number <= highest
+    if not (inside and math.isfinite(number)):
+        interval = ("({}, {})" if open_ else "[{}, {}]").format(lowest, highest)
+        bounds = "" if (lowest, highest) == (-math.inf, math.inf) else f" in {interval}"
+        raise ConfigError(f"{name} must be a finite number{bounds}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -213,6 +233,10 @@ class TrafficTable:
         return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
 
 
+# the bounds of the cell parameters that have any, as checked_float takes them; a mean of ln(ms) is any number
+_CELL_BOUNDS = {"delay_sigma": (0, math.inf, True), "drop_rate": (0, math.inf), "interval_sigma": (0, math.inf, True)}
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Feature distributions for one (class, congestion) cell.
@@ -228,17 +252,9 @@ class CellParams:
     interval_sigma: float
 
     def __post_init__(self):
+        # stored as floats: the config digest's JSON rejects a Fraction or np.float32, and writes an int as 1, not 1.0
         for name, value in tuple(vars(self).items()):
-            if not _is_finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            # the config digest's JSON rejects a Fraction or np.float32, and writes an int as 1, not 1.0
-            object.__setattr__(self, name, float(value))
-        if self.delay_sigma <= 0:
-            raise ConfigError("delay_sigma must be > 0")
-        if self.interval_sigma <= 0:
-            raise ConfigError("interval_sigma must be > 0")
-        if self.drop_rate < 0:
-            raise ConfigError("drop_rate must be >= 0")
+            object.__setattr__(self, name, checked_float(name, value, *_CELL_BOUNDS.get(name, ())))
 
 
 @dataclass(frozen=True)
@@ -266,25 +282,16 @@ class ScenarioConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # each number is stored as a Python int or float, which the config digest encodes
         for name, lowest, highest in (("n_records", 1, MAX_COUNT), ("n_vehicles", 1, MAX_COUNT), ("seed", 0, math.inf)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lowest <= value <= highest:
-                raise ConfigError(f"{name} must be an integer in [{lowest}, {highest}], got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer would not encode as JSON
-        for name, highest in (("attack_fraction", 1.0), ("congested_fraction", 1.0), ("vehicle_jitter_sigma", math.inf)):
-            value = getattr(self, name)
-            if not (_is_finite_number(value) and 0.0 <= value <= highest):
-                raise ConfigError(f"{name} must be a finite number in [0, {highest}], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), lowest, highest))
+        for name, highest in (("attack_fraction", 1), ("congested_fraction", 1), ("vehicle_jitter_sigma", math.inf)):
+            object.__setattr__(self, name, checked_float(name, getattr(self, name), 0, highest))
         mix = self.attack_mix
-        if not (
-            isinstance(mix, (tuple, list))
-            and len(mix) == len(ATTACK_TYPES)
-            and all(_is_finite_number(w) and w >= 0 for w in mix)
-            and 0 < sum(mix) < math.inf
-        ):
+        weights = tuple(checked_float("attack_mix", w, 0) for w in mix) if isinstance(mix, (tuple, list)) else ()
+        if len(weights) != len(ATTACK_TYPES) or not 0 < sum(weights) < math.inf:
             raise ConfigError(f"attack_mix needs 4 nonnegative weights with a positive finite sum, got {mix!r}")
-        object.__setattr__(self, "attack_mix", tuple(float(w) for w in mix))
+        object.__setattr__(self, "attack_mix", weights)
         for name in _CELL_NAMES:
             if not isinstance(getattr(self, name), CellParams):
                 raise ConfigError(f"{name} must be a CellParams, got {getattr(self, name)!r}")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from splineids.experiment import (
     split_train_test,
 )
 from splineids.logistic import build_design_matrix, fit_logistic, predict_prob
-from splineids.simulate import CellParams, ScenarioConfig, generate_dataset, scenario_from_dict
+from splineids.simulate import MAX_COUNT, CellParams, ScenarioConfig, generate_dataset, scenario_from_dict
 from splineids.splines import quantile_knots
 
 
@@ -67,6 +68,16 @@ class TestRunExperiment:
     def test_default_regime_hits_95_percent(self, default_report):
         for row in default_report.rows:
             assert row.accuracy >= 0.95
+
+    def test_every_model_hits_95_percent_on_scenario_seeds_1_to_50(self):
+        # counted in integers, 100 * correct >= 95 * n, so float rounding cannot flip a run at the bound
+        below = []
+        for seed in range(1, 51):
+            report = run_experiment(ExperimentConfig(scenario=ScenarioConfig(n_records=600, seed=seed), split_seed=42))
+            for row in report.rows:
+                if 100 * (row.cm.tp + row.cm.tn) < 95 * row.cm.total:
+                    below.append((seed, row.model.value, row.cm))
+        assert below == []
 
     def test_counts_sum_to_n_test(self, default_report):
         for row in default_report.rows:
@@ -182,17 +193,32 @@ class TestConfigDigest:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
-            ("split_seed", 3.0, "split_seed must be an integer, got 3.0"),
-            ("split_seed", True, "split_seed must be an integer, got True"),
-            ("bspline_degree", 3.0, "bspline_degree must be 1, 2 or 3"),
-            ("bspline_degree", True, "bspline_degree must be 1, 2 or 3"),
+            ("split_seed", 1.5, "split_seed must be an integer in [0, inf], got 1.5"),
+            ("split_seed", 3.0, "split_seed must be an integer in [0, inf], got 3.0"),
+            ("split_seed", True, "split_seed must be an integer in [0, inf], got True"),
+            ("bspline_degree", 3.0, "bspline_degree must be an integer in [1, 3], got 3.0"),
+            ("bspline_degree", True, "bspline_degree must be an integer in [1, 3], got True"),
         ],
         ids=["seed_1.5", "seed_3.0", "seed_True", "degree_3.0", "degree_True"],
     )
     def test_non_integer_split_seed_or_degree_is_rejected(self, field, value, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (ExperimentConfig, "threshold", Fraction(1, 10**400)),  # stored as 0.0
+            (ExperimentConfig, "threshold", Fraction(10**20 - 1, 10**20)),  # stored as 1.0
+            (ExperimentConfig, "split_ratio", Fraction(10**20 - 1, 10**20)),  # stored as 1.0
+            (ExperimentConfig, "knot_probs", (0.5, Fraction(1, 2) + Fraction(1, 10**30))),  # stored as (0.5, 0.5)
+            (ScenarioConfig, "attack_mix", (Fraction(1, 10**400), 0, 0, 0)),  # stored as four zeros
+        ],
+        ids=["threshold_0", "threshold_1", "split_ratio_1", "knot_probs_tied", "attack_mix_zero"],
+    )
+    def test_value_whose_stored_float_breaks_its_rule_is_rejected(self, make, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must|^{field} needs"):
+            make(**{field: value})
 
     def test_unset_scenario_and_default_scenario_differ(self):
         assert config_digest(ExperimentConfig()) != config_digest(ExperimentConfig(scenario=ScenarioConfig()))
@@ -334,7 +360,8 @@ class TestCurves:
         "grid_points", [200.0, "200", None, np.float64(200)], ids=["float", "str", "None", "float64"]
     )
     def test_grid_of_a_foreign_type_is_a_config_error(self, grid_points):
-        with pytest.raises(ConfigError, match="^grid_points must be in "):
+        message = f"grid_points must be an integer in [2, {MAX_COUNT}], got {grid_points!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             emit_curves(ExperimentConfig(), grid_points)
 
     def test_digest_matches_experiment_run(self, default_report):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splineids import logistic
-from splineids.errors import EmptyDataError, NumericalError, OutOfDomainError, ShapeError
+from splineids.errors import EmptyDataError, InsufficientDataError, NumericalError, OutOfDomainError, ShapeError
 from splineids.experiment import ALL_MODELS, ExperimentConfig, fit_models, split_train_test
 from splineids.logistic import (
     LOGLIK_TOL,
@@ -149,12 +149,13 @@ class TestFitLogistic:
         p0 = predict_prob(model, build_design_matrix(None, [0.0]))[0]
         assert p0 == pytest.approx(0.5, abs=1e-6)
 
-    def test_all_positive_labels_flag_separation(self):
-        x = np.linspace(-0.2, 0.2, 6)
-        model = fit_logistic(build_design_matrix(None, x), np.ones(6, dtype=int))
-        assert model.separation_flag
-        probs = predict_prob(model, build_design_matrix(None, x))
-        assert np.all(probs > 0.99)
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_labels_are_rejected(self, label):
+        # one class has no maximum-likelihood fit
+        dm = build_design_matrix(None, np.linspace(-0.2, 0.2, 6))
+        message = f"^every training label is {label}; a fit needs both classes, 0 and 1$"
+        with pytest.raises(InsufficientDataError, match=message):
+            fit_logistic(dm, np.full(6, label))
 
     def test_label_shape_mismatch(self):
         dm = build_design_matrix(None, (1.0, 2.0, 3.0))

@@ -71,7 +71,7 @@ def test_rejected_option_leaves_no_outdir(tmp_path):
     for args, message in [
         (["--n", "0"], "n_records must be an integer"),
         (["--n", "1"], "need at least 2 records to split"),
-        (["--n", "200", "--grid", "1"], "grid_points must be in [2, "),
+        (["--n", "200", "--grid", "1"], "grid_points must be an integer in [2, 1000000], got 1"),
     ]:
         outdir = tmp_path / "x" / "sub"
         result = run(SCRIPTS / "reproduce_comparison.py", *args, "--outdir", outdir)

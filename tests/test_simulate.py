@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -150,6 +151,92 @@ class TestGenerateDataset:
             ScenarioConfig(vehicle_jitter_sigma=value)
         with pytest.raises(ConfigError, match="^delay_mu must be a finite number"):
             CellParams(value, 1.0, 1.0, 1.0, 1.0)
+
+
+class TestFieldChecks:
+    """``checked_int`` and ``checked_float`` convert a value to the type stored, then check what is stored."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
+    def test_integers_are_stored_as_ints(self, value):
+        stored = simulate.checked_int("count", value, 0)
+        assert stored == 3 and type(stored) is int
+
+    @pytest.mark.parametrize(
+        "value, lowest, highest",
+        [(3.0, 0, math.inf), (np.float64(3), 0, math.inf), (Fraction(3), 0, math.inf), (True, 0, math.inf),
+         ("3", 0, math.inf), (None, 0, math.inf), (-1, 0, math.inf), (6, 1, 5), (10**400, 1, simulate.MAX_COUNT)],
+        ids=["float", "float64", "Fraction", "bool", "str", "None", "below", "above", "huge"],
+    )
+    def test_integer_rule_has_one_message(self, value, lowest, highest):
+        message = f"count must be an integer in [{lowest}, {highest}], got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            simulate.checked_int("count", value, lowest, highest)
+
+    @pytest.mark.parametrize(
+        "value", [0.25, np.float32(0.25), np.float64(0.25), Fraction(1, 4), np.float16(0.25)], ids=repr
+    )
+    def test_reals_are_stored_as_floats(self, value):
+        stored = simulate.checked_float("share", value, 0, 1, open_=True)
+        assert stored == 0.25 and type(stored) is float
+
+    @pytest.mark.parametrize(
+        "bounds, value, interval",
+        [
+            ((), "x", ""),
+            ((), math.nan, ""),
+            ((), -math.inf, ""),
+            ((), 10**400, ""),
+            ((), Fraction(-(10**400), 3), ""),
+            ((), 1j, ""),
+            ((0, 1), 1.5, " in [0, 1]"),
+            ((0, 1), True, " in [0, 1]"),
+            ((0, 1), np.float32(-0.5), " in [0, 1]"),
+            ((0, math.inf), math.inf, " in [0, inf]"),
+            ((0, 1, True), 0.0, " in (0, 1)"),
+            ((0, math.inf, True), 0, " in (0, inf)"),
+            # each stored float lies on a bound that the value itself is inside
+            ((0, 1, True), Fraction(1, 10**400), " in (0, 1)"),
+            ((0, 1, True), Fraction(10**20 - 1, 10**20), " in (0, 1)"),
+        ],
+        ids=[
+            "str", "nan", "-inf", "huge_int", "huge_Fraction", "complex", "above", "bool", "float32_below",
+            "inf", "open_at_0", "open_int_0", "stored_0", "stored_1",
+        ],
+    )
+    def test_real_rule_has_one_message(self, bounds, value, interval):
+        message = f"share must be a finite number{interval}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            simulate.checked_float("share", value, *bounds)
+
+    @pytest.mark.parametrize(
+        "name, value, interval",
+        [("delay_sigma", 0.0, "(0, inf)"), ("interval_sigma", -1, "(0, inf)"), ("drop_rate", -0.5, "[0, inf]")],
+    )
+    def test_cell_bounds(self, name, value, interval):
+        fields = {"delay_mu": 1.0, "delay_sigma": 1.0, "drop_rate": 1.0, "interval_mu": 1.0, "interval_sigma": 1.0}
+        message = f"{name} must be a finite number in {interval}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CellParams(**{**fields, name: value})
+
+    @pytest.mark.parametrize(
+        "mix",
+        [(Fraction(1, 10**400), 0, 0, 0), (1e308, 1e308, 0, 0), (1, 2, 3), (1, 2, 3, 4, 5), "abcd", None],
+        ids=["sum_stored_as_0", "sum_overflows", "three", "five", "str", "None"],
+    )
+    def test_attack_mix_sum_is_checked_on_the_stored_floats(self, mix):
+        message = f"attack_mix needs 4 nonnegative weights with a positive finite sum, got {mix!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(attack_mix=mix)
+
+    @pytest.mark.parametrize("weight", [-1, math.nan, "1", True], ids=repr)
+    def test_each_attack_mix_weight_is_a_nonnegative_real(self, weight):
+        message = f"attack_mix must be a finite number in [0, inf], got {weight!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(attack_mix=(1, weight, 1, 1))
+
+    def test_attack_mix_is_stored_as_floats(self):
+        mix = ScenarioConfig(attack_mix=[Fraction(1, 3), np.float32(1), np.int64(1), 2]).attack_mix
+        assert mix == (1 / 3, 1.0, 1.0, 2.0) and {type(w) for w in mix} == {float}
 
 
 # finite positive reals at both ends of the float64 range, subnormals and values that need 17 digits
@@ -542,7 +629,6 @@ def generated(generate, config):
 # one vehicle always gets index 0; the largest counts check floor(u * n) <= n - 1 near MAX_COUNT
 VEHICLE_COUNTS = [1, 2, 3, 52, 65_537, 999_983, 1_000_000]
 EDGE_FRACTIONS = [0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0]
-BLOCK_SIZES = [1, 3, 7, 4096]
 fractions = st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0))
 # numpy's Poisson sampler inverts the CDF below a rate of 10 and uses rejection from 10 up
 drop_rates = st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_max=True), st.floats(10.0, 1e4))
@@ -573,7 +659,7 @@ scenarios = st.builds(
 
 
 class TestGeneratorOracle:
-    """``generate_dataset`` equals a scalar loop over the same streams, whatever the writer's block size."""
+    """``generate_dataset`` equals a scalar loop over the same streams."""
 
     @settings(max_examples=200, deadline=None)
     @given(config=scenarios)
@@ -581,8 +667,7 @@ class TestGeneratorOracle:
         assert generated(generate_dataset, config) == generated(oracle_generate_dataset, config)
 
     @pytest.mark.parametrize("n_vehicles", VEHICLE_COUNTS)
-    def test_matches_the_scalar_loop_beside_a_block_boundary(self, monkeypatch, n_vehicles):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 7)
+    def test_matches_the_scalar_loop_at_each_vehicle_count(self, n_vehicles):
         config = ScenarioConfig(n_records=50, n_vehicles=n_vehicles, seed=n_vehicles)
         assert generate_dataset(config) == oracle_generate_dataset(config)
 
@@ -593,14 +678,12 @@ class TestGeneratorOracle:
             {"attack_uncongested": {"delay_mu": 800}},
             {"normal_congested": {"interval_mu": -800}, "congested_fraction": 0.5},
             {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
-            # the Poisson sampler fails late (at record 155 of seed 42), many blocks in at small block sizes
+            # the Poisson sampler fails late, at record 155 of seed 42
             {"attack_congested": {"drop_rate": 1e30}, "congested_fraction": 0.02},
             {"attack_uncongested": {"drop_rate": 1e30, "delay_mu": 800}},
         ],
     )
-    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
-    def test_invalid_draws_match_the_scalar_loop(self, monkeypatch, overrides, block_rows):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+    def test_invalid_draws_match_the_scalar_loop(self, overrides):
         config = scenario_from_dict(overrides)
         message = generated(oracle_generate_dataset, config)
         assert isinstance(message, str)
@@ -841,9 +924,6 @@ def csv_text(edits=(), end="\n"):
     return CSV_HEADER + "\n" + "".join(lines)
 
 
-# rows converted at a time on the csv.reader path in the tests that set it, so twelve rows make three blocks
-FOUR_ROWS = 4
-
 # CSVs that are not plain files (see simulate._plain_file), or plain ones with a faulty row
 QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6
 OFF_PLAIN_PATH = {
@@ -928,11 +1008,10 @@ class TestReaderParity:
     @pytest.mark.parametrize("blank", [None, 2, 3, 4])
     @pytest.mark.parametrize("bad", [2, 3, 4, 5, 9])
     @pytest.mark.parametrize("fault", [("0", "-1.0"), ("4", "worm"), ("1", "x")], ids=["value", "token", "convert"])
-    def test_fault_beside_a_block_boundary(self, tmp_path, monkeypatch, blank, bad, fault):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
+    def test_first_of_two_faults_is_named_by_its_file_line(self, tmp_path, blank, bad, fault):
         rows = [list(VALID_ROW) for _ in range(12)]
         rows[bad][int(fault[0])] = fault[1]
-        rows[bad + 2][0] = "-5"  # a later fault, maybe in the next block, must not win
+        rows[bad + 2][0] = "-5"  # a later fault must not win
         if blank is not None:
             rows.insert(blank, None)
         path = tmp_path / "data.csv"
@@ -942,15 +1021,13 @@ class TestReaderParity:
         assert outcome(read_csv, path) == expected
 
     @pytest.mark.parametrize("text", OFF_PLAIN_PATH.values(), ids=OFF_PLAIN_PATH.keys())
-    def test_rows_off_the_plain_path(self, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
+    def test_rows_off_the_plain_path(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
         assert result_or_csv_error(read_csv, path) == result_or_csv_error(oracle_read_csv, path)
 
     @pytest.mark.parametrize("text", LOADTXT_PITFALLS.values(), ids=LOADTXT_PITFALLS.keys())
-    def test_loadtxt_pitfalls_match_the_per_row_reader(self, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
+    def test_loadtxt_pitfalls_match_the_per_row_reader(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert result_or_csv_error(read_csv, path) == result_or_csv_error(oracle_read_csv, path)
@@ -970,10 +1047,8 @@ class TestReaderParity:
         assert row_fault.call_count == 0
         assert outcome(lambda _: table, path) == outcome(oracle_read_csv, path)
 
-    @pytest.mark.parametrize("block_rows", [FOUR_ROWS, simulate._BLOCK_ROWS], ids=["four_rows", "default"])
-    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path, monkeypatch, block_rows):
+    def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path):
         # the attack label of row 3 spans file lines 5 and 6, so the faulty row 9 is on file line 12
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
         path = tmp_path / "data.csv"
         path.write_bytes(OFF_PLAIN_PATH["quoted_newline_then_fault"].encode())
         for reader in (read_csv, oracle_read_csv):
@@ -981,8 +1056,7 @@ class TestReaderParity:
                 reader(path)
 
     @pytest.mark.parametrize("blanks", [(), (3,), (3, 4), (0, 7)])
-    def test_blank_lines_beside_a_block_boundary(self, tmp_path, monkeypatch, blanks):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
+    def test_blank_lines_are_skipped(self, tmp_path, blanks):
         rows = [list(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(9)]
         for at in blanks:
             rows.insert(at, None)
@@ -991,8 +1065,7 @@ class TestReaderParity:
         assert outcome(read_csv, path) == outcome(oracle_read_csv, path)
         assert len(read_csv(path)) == 9
 
-    def test_fault_before_an_unreadable_row_is_reported_first(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", FOUR_ROWS)
+    def test_fault_before_an_unreadable_row_is_reported_first(self, tmp_path):
         rows = [list(VALID_ROW) for _ in range(6)]
         rows[5][0] = "-1"
         rows.append(["1", "0" * 140_000, "1", "0", "none", "0"])  # past the csv field size limit
@@ -1005,11 +1078,9 @@ class TestReaderParity:
         with pytest.raises(csv.Error):
             read_csv(path)
 
-    @pytest.mark.parametrize("block_rows", [FOUR_ROWS, simulate._BLOCK_ROWS], ids=["four_rows", "default"])
     @pytest.mark.parametrize("field, spelling", [(5, " 1"), (5, "01"), (5, "+1"), (1, "+2")])
-    def test_valid_spellings_a_writer_never_writes(self, tmp_path, monkeypatch, block_rows, field, spelling):
+    def test_valid_spellings_a_writer_never_writes(self, tmp_path, field, spelling):
         # int() reads each spelling; a label spelt so misses the tail decoding and is read by csv.reader
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
         rows = [list(VALID_ROW if i % 3 else ATTACK_ROW) for i in range(12)]
         rows[9][field] = spelling
         path = tmp_path / "data.csv"
