@@ -27,6 +27,7 @@ from .logistic import (
     ConfusionMatrix,
     LogisticModel,
     accuracy,
+    binary_labels,
     build_design_matrix,
     classify,
     confusion_matrix,
@@ -232,9 +233,13 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
     """Fit each model in ``config.models`` on training delays ``x`` and labels ``y``.
 
     The knots are the ``config.knot_probs`` quantiles of ``x``; the B-spline
-    domain is the range of ``x``. Models come back in ``ALL_MODELS`` order.
-    Knots that do not lie strictly inside that range raise
-    :class:`DegenerateKnotsError`, before any fit; ``fit_logistic`` raises
+    domain is the range of ``x``. Each model is fitted on the distinct
+    delays, as (trials, successes): how many training records have that
+    delay, and how many of them are attacks. That is the fit on the records
+    one by one, on a design with a row per distinct delay. Models come back
+    in ``ALL_MODELS`` order. Knots that do not lie strictly inside that
+    range raise :class:`DegenerateKnotsError`, before any fit; labels other
+    than 0 and 1 raise ``ValueError``, and ``fit_logistic`` raises
     :class:`InsufficientDataError` for labels of one class.
     """
     knots = quantile_knots(x, config.knot_probs)
@@ -243,11 +248,15 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
         raise DegenerateKnotsError(
             f"knots {knots.values} do not lie strictly inside the training delays {list(domain)}"
         )
+    y = binary_labels(y)
+    distinct, inverse = np.unique(x, return_inverse=True)
+    trials = np.bincount(inverse).astype(float)
+    successes = np.bincount(inverse, weights=y)
     models = {}
     for kind in ALL_MODELS:
         if kind in config.models:
             spec = basis_spec_for(kind, knots, domain, config.bspline_degree)
-            models[kind] = fit_logistic(build_design_matrix(spec, x), y)
+            models[kind] = fit_logistic(build_design_matrix(spec, distinct), successes, trials)
     return FittedModels(knots, domain, models)
 
 

@@ -8,13 +8,22 @@ the ``DesignMatrix`` it returns skips the constructor's column checks.
 
 The fitter is iteratively reweighted least squares (Newton on the logit
 link) with step halving, so the log-likelihood never decreases across
-accepted iterations. Each step is one minimum-norm solve of the weighted
-normal equations (``np.linalg.lstsq``) with no ridge retry; it is exact
-for the rank-deficient design of an intercept plus a partition-of-unity
-B-spline basis. The log-likelihood the step compares is the unclipped
-``y.eta - sum(logaddexp(0, eta))``. The one reported for the returned
-coefficients is ``-sum(softplus((1 - 2y) * eta))``: the same value, as a
-sum of nonnegative terms, which does not cancel on near-separated fits.
+accepted iterations. It fits grouped binomial data: row i of the design
+stands for ``n_i`` trials at one predictor value, ``y_i`` of them
+successes. Rows that share a value may be grouped this way without
+changing the log-likelihood, its gradient or its Hessian, so the fit is
+the one on the rows one by one; ``experiment.fit_models`` fits each model
+on the distinct training delays as (trials, successes). Without trials,
+each row is one trial and ``y`` holds 0/1 labels.
+
+Each step is one minimum-norm solve of the weighted normal equations
+(``np.linalg.lstsq``) with no ridge retry; it is exact for the
+rank-deficient design of an intercept plus a partition-of-unity B-spline
+basis. The log-likelihood the step compares is the unclipped
+``y.eta - n.softplus(eta)``. The one reported for the returned
+coefficients is ``-sum(y softplus(-eta) + (n - y) softplus(eta))``: the
+same value, as a sum of nonnegative terms, which does not cancel on
+near-separated fits.
 
 Once any fitted probability reaches the band (p <= 1e-12 or
 p >= 1 - 1e-12) the iteration stops at the current coefficients with
@@ -136,16 +145,17 @@ def _sigmoid(eta: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
-def _loglik_and_prob(y: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unclipped ``y.eta - sum(logaddexp(0, eta))`` and sigma(eta), sharing one exp."""
+def _loglik_and_prob(y: np.ndarray, n: float | np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unclipped ``y.eta - n.logaddexp(0, eta)`` and sigma(eta), sharing one exp."""
     e = np.exp(-np.abs(eta))
-    ll = float(y @ eta - (np.maximum(eta, 0.0) + np.log1p(e)).sum())
+    ll = float(y @ eta - (n * (np.maximum(eta, 0.0) + np.log1p(e))).sum())
     return ll, _sigmoid(eta, e)
 
 
-def _exact_loglik(y: np.ndarray, eta: np.ndarray) -> float:
-    """``-sum(softplus((1 - 2y) * eta))``, each term ``max(t, 0) + log1p(exp(-|t|))`` and nonnegative."""
-    return -float((np.maximum((1.0 - 2.0 * y) * eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))).sum())
+def _exact_loglik(y: np.ndarray, n: float | np.ndarray, eta: np.ndarray) -> float:
+    """``-sum(y softplus(-eta) + (n - y) softplus(eta))``, each softplus ``max(t, 0) + log1p(exp(-|t|))``."""
+    log1p_e = np.log1p(np.exp(-np.abs(eta)))
+    return -float((y * (np.maximum(-eta, 0.0) + log1p_e) + (n - y) * (np.maximum(eta, 0.0) + log1p_e)).sum())
 
 
 @dataclass
@@ -160,23 +170,25 @@ class IrlsTrace:
     loglik_history: list[float]
 
 
-def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
-    """Run IRLS from beta = 0, returning the full iteration trace."""
+def irls(matrix: np.ndarray, y: np.ndarray, trials: np.ndarray | None = None) -> IrlsTrace:
+    """Run IRLS from beta = 0 on ``y`` successes in ``trials`` (None: one a row), returning the full trace."""
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(y, dtype=float)
+    n = 1.0 if trials is None else np.asarray(trials, dtype=float)  # a product by 1.0 is exact
     beta = np.zeros(x.shape[1])
     # lstsq's default cutoff for a square system of this size, worked out once per fit
     rcond = np.finfo(float).eps * x.shape[1]
     eta = x @ beta
-    ll, p = _loglik_and_prob(y, eta)
+    ll, p = _loglik_and_prob(y, n, eta)
     history = [ll]
     converged = False
     separated = False
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        gradient = x.T @ (y - p)
-        weights = p * (1.0 - p)
+        mean = n * p
+        gradient = x.T @ (y - mean)
+        weights = mean * (1.0 - p)
         with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
             hessian = (x * weights[:, None]).T @ x
         if not np.isfinite(hessian).all():
@@ -187,7 +199,7 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
         for _ in range(_MAX_HALVINGS):
             beta_new = beta + step * delta
             eta_new = x @ beta_new
-            ll_new, p_new = _loglik_and_prob(y, eta_new)
+            ll_new, p_new = _loglik_and_prob(y, n, eta_new)
             if ll_new >= ll:
                 break
             step *= 0.5
@@ -207,24 +219,40 @@ def irls(matrix: np.ndarray, y: np.ndarray) -> IrlsTrace:
             break
         ll = ll_new
 
-    return IrlsTrace(beta, converged, iterations, separated, _exact_loglik(y, eta), history)
+    return IrlsTrace(beta, converged, iterations, separated, _exact_loglik(y, n, eta), history)
 
 
-def fit_logistic(dm: DesignMatrix, labels: Sequence[int]) -> LogisticModel:
+def binary_labels(labels: Sequence[int]) -> np.ndarray:
+    """``labels`` as floats, each of which must be 0 or 1."""
+    y = np.asarray(labels, dtype=float)
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
+    return y
+
+
+def fit_logistic(dm: DesignMatrix, labels: Sequence[int], trials: Sequence[int] | None = None) -> LogisticModel:
     """Maximum-likelihood logistic fit of binary ``labels`` on ``dm``.
 
-    Labels of one class have no maximum-likelihood fit and raise
-    :class:`InsufficientDataError`.
+    With ``trials``, row i of ``dm`` stands for ``trials[i]`` records and
+    ``labels[i]`` counts the attacks among them, a whole number from 0 to
+    ``trials[i]``; the fit is the one on those records row by row. Labels
+    of one class (no attack, or only attacks) have no maximum-likelihood
+    fit and raise :class:`InsufficientDataError`.
     """
-    y = np.asarray(labels, dtype=float)
+    if trials is None:
+        y, n = binary_labels(labels), 1.0
+    else:
+        y, n = np.asarray(labels, dtype=float), np.asarray(trials, dtype=float)
     if y.ndim != 1 or y.size != dm.n_rows:
         raise ShapeError(f"labels length {y.size} != design rows {dm.n_rows}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    if np.all(y == y[0]):
-        raise InsufficientDataError(f"every training label is {int(y[0])}; a fit needs both classes, 0 and 1")
+    if np.shape(n) not in ((), y.shape):
+        raise ShapeError(f"trials length {np.size(n)} != design rows {dm.n_rows}")
+    if not ((0.0 <= y) & (y <= n) & (y == np.floor(y))).all():
+        raise ValueError("successes must be whole numbers from 0 to their trials")
+    if not y.any() or (y == n).all():
+        raise InsufficientDataError(f"every training label is {int(y.any())}; a fit needs both classes, 0 and 1")
 
-    trace = irls(dm.matrix, y)
+    trace = irls(dm.matrix, y, trials)
     return LogisticModel(
         intercept=float(trace.beta[0]),
         coefficients=tuple(float(b) for b in trace.beta[1:]),

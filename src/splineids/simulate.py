@@ -481,8 +481,12 @@ def _row_fault(row: list[str], columns: tuple[array, ...]) -> str | None:
         return f"label must be 0 or 1, got {label}"
     if label != (code != 0):
         return f"label {label} inconsistent with attack_type {type_s}"
-    for column, value in zip(columns, (delay, drops, interval, _FLAGS[flag_s], code)):
-        column.append(value)
+    delays, drop_counts, intervals, flags, codes = columns
+    delays.append(delay)
+    drop_counts.append(drops)
+    intervals.append(interval)
+    flags.append(_FLAGS[flag_s])
+    codes.append(code)
     return None
 
 

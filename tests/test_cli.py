@@ -601,11 +601,11 @@ def test_malformed_input_ends_in_one_message(trained, invocation):
 # SHA-256 of model files and reports from the default scenario at --seed 42, recorded on numpy 2.4 (a
 # numpy release that changes the Generator streams changes them, as it changes the CSV digests)
 PINNED_MODEL_FILES = {
-    "logistic": "40228d6be0ed5fdce44212b4681cdcdce807d3cfe8d3d34d470d20a759ceaf8d",
-    "linear": "be593488801aae562cf8e4c7b20a608fb8aaeffd637ab88db00cb7dd96638864",
-    "quadratic": "407d28658d5af69f3ebf997ffaa09a42acb172e26b9d4a00b4b513f6824c146a",
-    "cubic": "84e5e01f050ed546382dd215228c8ec6af7349574fba2a27089c704da1ef8ee0",
-    "bspline": "e264255598d7ca1ea002b765341fd86b447115b30bb78f12b9328846b6b48169",
+    "logistic": "06c6cb624500f2fe8d6c63f3d8beebc3c37cdfd76fa444d960fab80ef3118c2b",
+    "linear": "bd14fe9092d0e93e5e6b9c43a4fa601c86c7e2ce82ef0f2367c37fc38bbe846f",
+    "quadratic": "1e74ab3aedee102f86d225130c9fd79fe8f324dbff3609a6cbcac5cf9f807a7c",
+    "cubic": "91428e957ddf8c7a3a743bb20f8ac867b9a1ceaa72e7b3e8cf6c921e330a2ff9",
+    "bspline": "cd066cd1bbf9377e737d4213bc6cfde4eb9ae3389e552f5488141f88e66936cf",
 }
 PINNED_REPORTS = {
     "text": "919bcdac8398b3cc116ac8a039868bc756838f445376f3943649b7b143e1b5e2",

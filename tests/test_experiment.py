@@ -26,7 +26,7 @@ from splineids.experiment import (
     score_model,
     split_train_test,
 )
-from splineids.logistic import build_design_matrix, fit_logistic, predict_prob
+from splineids.logistic import build_design_matrix, classify, fit_logistic, irls, predict_prob
 from splineids.simulate import MAX_COUNT, CellParams, ScenarioConfig, generate_dataset, scenario_from_dict
 from splineids.splines import quantile_knots
 
@@ -492,6 +492,35 @@ class TestFitModels:
         x = np.arange(1.0, 21.0)
         with pytest.raises(InsufficientDataError, match=f"^every training label is {label};"):
             fit_models(ExperimentConfig(), x, np.full(20, label))
+
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_grouped_fits_match_the_fits_on_every_training_row(self, seed):
+        config = ExperimentConfig()
+        records = generate_dataset(ScenarioConfig(n_records=20_000, seed=seed))
+        train, test = split_train_test(records, config.split_ratio, config.split_seed)
+        x, y = train.packet_delay_ms, train.label
+        for kind, model in fit_models(config, x, y).models.items():
+            trace = irls(build_design_matrix(model.basis_spec, x).matrix, y.astype(float))
+            assert (model.iterations, model.converged, model.separation_flag) == (
+                trace.iterations,
+                trace.converged,
+                trace.separated,
+            ), kind
+            ungrouped = dataclasses.replace(
+                model, intercept=float(trace.beta[0]), coefficients=tuple(trace.beta[1:].tolist())
+            )
+            # no predicted test label flips
+            grouped_labels, labels = (
+                classify(experiment._probabilities(m, test.packet_delay_ms)[0], config.threshold)
+                for m in (model, ungrouped)
+            )
+            assert np.array_equal(grouped_labels, labels), kind
+
+    def test_labels_other_than_zero_and_one_are_rejected(self):
+        x = np.arange(1.0, 21.0)
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            fit_models(ExperimentConfig(), x, np.array([0, 2] * 10))
 
 
 class TestScoreModel:

@@ -40,12 +40,16 @@ def bs_spec(degree, knots, domain):
     return SplineBasisSpec(BasisKind.BSPLINE, degree, KnotVector(knots), domain)
 
 
-def logistic_sample(rng, n=200):
-    """Overlapping two-class sample: labels drawn from a bounded logit."""
-    x = rng.uniform(0.0, 10.0, n)
+def logistic_labels(rng, x):
+    """Labels at ``x`` drawn from a bounded logit, so the two classes overlap."""
     eta = -2.0 + 0.8 * x - 1.2 * np.maximum(x - 4.0, 0.0) + 0.9 * np.maximum(x - 7.0, 0.0)
-    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
-    return x, y
+    return (rng.uniform(size=x.size) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+
+
+def logistic_sample(rng, n=200):
+    """Overlapping two-class sample on [0, 10]."""
+    x = rng.uniform(0.0, 10.0, n)
+    return x, logistic_labels(rng, x)
 
 
 class TestBuildDesignMatrix:
@@ -166,6 +170,41 @@ class TestFitLogistic:
         dm = build_design_matrix(None, (1.0, 2.0))
         with pytest.raises(ValueError):
             fit_logistic(dm, (0, 2))
+
+    @pytest.mark.parametrize(
+        "successes, trials",
+        [((0, 3, 1), (2, 2, 1)), ((0, -1, 1), (2, 2, 1)), ((0, 0.5, 1), (2, 2, 1)), ((0, np.nan, 1), (2, 2, 1))],
+        ids=["above_trials", "negative", "fractional", "nan"],
+    )
+    def test_successes_must_be_whole_numbers_up_to_their_trials(self, successes, trials):
+        dm = build_design_matrix(None, (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="^successes must be whole numbers from 0 to their trials$"):
+            fit_logistic(dm, successes, trials)
+
+    def test_trials_shape_mismatch(self):
+        dm = build_design_matrix(None, (1.0, 2.0, 3.0))
+        with pytest.raises(ShapeError, match="trials length 2"):
+            fit_logistic(dm, (0, 1, 1), (1, 2))
+
+    @pytest.mark.parametrize("label, successes", [(0, (0, 0, 0)), (1, (2, 1, 3))])
+    def test_grouped_labels_of_one_class_are_rejected(self, label, successes):
+        dm = build_design_matrix(None, (1.0, 2.0, 3.0))
+        message = f"^every training label is {label}; a fit needs both classes, 0 and 1$"
+        with pytest.raises(InsufficientDataError, match=message):
+            fit_logistic(dm, successes, (2, 1, 3))
+
+    def test_grouped_fit_is_the_fit_on_the_rows_one_by_one(self):
+        x = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 0.5])
+        y = np.array([0, 0, 1, 1, 0, 1, 1])
+        ungrouped = fit_logistic(build_design_matrix(None, x), y)
+        grouped = fit_logistic(build_design_matrix(None, (-1.0, 0.5, 1.0)), (1, 1, 2), (3, 1, 3))
+        assert (grouped.iterations, grouped.converged, grouped.separation_flag) == (
+            ungrouped.iterations,
+            ungrouped.converged,
+            ungrouped.separation_flag,
+        )
+        assert grouped.intercept == pytest.approx(ungrouped.intercept, rel=1e-12)
+        assert grouped.coefficients == pytest.approx(ungrouped.coefficients, rel=1e-12)
 
     def test_loglik_nondecreasing_across_iterations(self):
         rng = np.random.default_rng(23)
@@ -348,6 +387,63 @@ class TestIrlsOracle:
         for kind in ALL_MODELS:
             matrix = build_design_matrix(fitted.models[kind].basis_spec, x).matrix
             assert_irls_matches_the_oracle(matrix, y.astype(float))
+
+
+class TestGroupedIrls:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        basis=st.sampled_from(["plain", "tp1", "tp2", "tp3", "bs1", "bs2", "bs3"]),
+        n_distinct=st.integers(8, 120),
+        max_repeats=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_fit_equals_the_fit_on_the_expanded_rows(self, basis, n_distinct, max_repeats, seed):
+        rng = np.random.default_rng(seed)
+        # distinct values on a 0.01 grid, each repeated 1 to max_repeats times, in shuffled order
+        values = np.unique(np.concatenate([[0.0, 10.0], rng.integers(1, 1000, n_distinct) / 100.0]))
+        x = rng.permutation(np.repeat(values, rng.integers(1, max_repeats + 1, values.size)))
+        y = logistic_labels(rng, x).astype(float)
+        assume(0.0 < y.sum() < y.size)
+        knots = (2.0, 5.0, 8.0)
+        spec = {
+            "plain": None,
+            **{f"tp{d}": tp_spec(d, knots) for d in (1, 2, 3)},
+            **{f"bs{d}": bs_spec(d, knots, (0.0, 10.0)) for d in (1, 2, 3)},
+        }[basis]
+        distinct, inverse = np.unique(x, return_inverse=True)
+        trials, successes = np.bincount(inverse), np.bincount(inverse, weights=y)
+        grouped_matrix, matrix = build_design_matrix(spec, distinct).matrix, build_design_matrix(spec, x).matrix
+
+        def fits(iterations=MAX_ITERATIONS):
+            with mock.patch.object(logistic, "MAX_ITERATIONS", iterations):
+                return irls(grouped_matrix, successes, trials), irls(matrix, y)
+
+        def gap(grouped, ungrouped):
+            """The largest gap between the two fits' probabilities at the distinct values."""
+            probabilities = [_sigmoid(grouped_matrix @ fit.beta) for fit in (grouped, ungrouped)]
+            return float(np.abs(np.subtract(*probabilities)).max())
+
+        grouped, ungrouped = fits()
+        assert (grouped.iterations, grouped.converged, grouped.separated) == (
+            ungrouped.iterations,
+            ungrouped.converged,
+            ungrouped.separated,
+        )
+        if basis != "tp3":  # the cubic truncated-power design is the ill-conditioned one
+            # the same iterates up to rounding, until the last step
+            assert all(gap(*fits(k)) <= 1e-9 for k in range(1, grouped.iterations))
+            # the last step starts where the log-likelihood is flat to its last bits, so rounding decides
+            # which of its halvings passes ll_new >= ll; the ungrouped fit on its rows in another order
+            # moves as far
+            assert gap(grouped, ungrouped) <= 1e-6
+
+    def test_one_trial_a_row_is_the_ungrouped_fit_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        x, y = logistic_sample(rng)
+        matrix, yf = build_design_matrix(tp_spec(2, (3.0, 5.0, 7.0)), x).matrix, y.astype(float)
+        got, want = irls(matrix, yf, np.ones(yf.size)), irls(matrix, yf)
+        assert _bits(got.beta) == _bits(want.beta) and _bits(got.loglik_history) == _bits(want.loglik_history)
+        assert _bits([got.loglik]) == _bits([want.loglik])
 
 
 class TestPredictProb:

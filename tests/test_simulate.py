@@ -338,7 +338,7 @@ class TestCsvRoundTrip:
             max_size=14,
         )
     )
-    def test_round_trip_is_bit_exact_through_plain_blocks(self, tmp_path_factory, rows):
+    def test_round_trip_is_bit_exact_on_the_loadtxt_path(self, tmp_path_factory, rows):
         columns = list(zip(*rows)) or [[]] * 5
         table = TrafficTable(*columns)
         path = tmp_path_factory.mktemp("rt") / "table.csv"
@@ -928,14 +928,14 @@ def csv_text(edits=(), end="\n"):
 QUOTED_NEWLINE = PLAIN_ROWS[3][:-1] + '"1\n"\n'  # an attack label that spans lines 5 and 6
 OFF_PLAIN_PATH = {
     "quoted_field": csv_text({6: '"' + PLAIN_ROWS[6].replace(",", '",', 1) + "\n"}),
-    "quoted_newline_across_blocks": csv_text({3: QUOTED_NEWLINE}),
+    "quoted_newline_in_a_field": csv_text({3: QUOTED_NEWLINE}),
     "quoted_newline_then_fault": csv_text({3: QUOTED_NEWLINE, 9: "-1" + PLAIN_ROWS[9][5:] + "\n"}),
     "nul": csv_text({7: PLAIN_ROWS[7].replace("90.0", "90.\x000") + "\n"}),
     "no_final_newline": csv_text()[:-1],
     # split as one run of fields, each of these pairs up into two valid rows
     "five_then_seven_fields": csv_text({2: "2.5,1,90.0,0,none\n", 3: "0,2.5,1,90.0,0,none,0\n"}),
     "two_rows_joined_by_a_field": csv_text({2: PLAIN_ROWS[2] + ",0," + PLAIN_ROWS[2] + "\n"}),
-    "plain_block_then_faulty_block": csv_text({5: "-1" + PLAIN_ROWS[5][3:] + "\n"}),
+    "plain_file_with_a_faulty_row": csv_text({5: "-1" + PLAIN_ROWS[5][3:] + "\n"}),
     # numpy's integer parser looks a non-ASCII character up past the end of C's isdigit table, so loadtxt
     # read this drop count as 706626, or crashed
     "astral_plane_drops": csv_text({4: PLAIN_ROWS[4].replace(",1,", ",\U000ac872,") + "\n"}),
