@@ -58,7 +58,6 @@ from .splines import (
     basis_matrix,
     basis_row,
     bspline_blend,
-    eval_linear_interpolant,
     eval_piecewise,
     fit_natural_cubic_spline,
     fit_quadratic_spline,

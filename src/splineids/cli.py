@@ -7,14 +7,13 @@ failure. All randomness flows from explicit seed flags.
 import argparse
 import csv
 import inspect
-import json
 import sys
 from pathlib import Path
 
 from . import experiment as exp
 from .errors import ConfigError, NumericalError, SplineIdsError
 from .logistic import accuracy
-from .simulate import ScenarioConfig, generate_dataset, scenario_from_dict, write_csv
+from .simulate import ScenarioConfig, generate_dataset, read_json, scenario_from_dict, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -25,15 +24,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_scenario(path: str | None, seed: int | None, n_records: int | None = None) -> ScenarioConfig:
-    data = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read scenario file: {err}")
-        except ValueError as err:  # undecodable bytes as well as bad JSON
-            raise ConfigError(f"scenario file is not valid JSON: {err}")
+    """The scenario in the JSON file ``path`` (None: the default scenario), with the given overrides.
+
+    A file that ``read_json`` cannot read is a ConfigError naming it."""
+    data = {} if path is None else read_json(path, ConfigError, "scenario file")
     overrides = {name: value for name, value in (("seed", seed), ("n_records", n_records)) if value is not None}
     # scenario_from_dict rejects a document that is not an object
     return scenario_from_dict({**data, **overrides} if isinstance(data, dict) else data)

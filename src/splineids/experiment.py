@@ -35,7 +35,7 @@ from .logistic import (
     predict_prob,
 )
 from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, checked_float, checked_int, generate_dataset
-from .simulate import json_default, read_csv
+from .simulate import json_default, read_csv, read_json
 from .splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 MODEL_FILE_FORMAT = "splineids-model"
@@ -249,8 +249,7 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
             f"knots {knots.values} do not lie strictly inside the training delays {list(domain)}"
         )
     y = binary_labels(y)
-    distinct, inverse = np.unique(x, return_inverse=True)
-    trials = np.bincount(inverse).astype(float)
+    distinct, inverse, trials = np.unique(x, return_inverse=True, return_counts=True)
     successes = np.bincount(inverse, weights=y)
     models = {}
     for kind in ALL_MODELS:
@@ -417,17 +416,6 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     return CurveBundle(delays, probabilities, report.config_digest)
 
 
-def _spec_to_dict(spec: SplineBasisSpec | None) -> dict | None:
-    if spec is None:
-        return None
-    return {
-        "kind": spec.kind.value,
-        "degree": spec.degree,
-        "interior_knots": list(spec.interior_knots.values),
-        "domain": [spec.domain[0], spec.domain[1]],
-    }
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -439,57 +427,79 @@ _JSON_KINDS = {
     "nonnegative integer": lambda value: _is_number(value) and isinstance(value, int) and value >= 0,
     "number": _is_number,
     "list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "object or null": lambda value: value is None or isinstance(value, dict),
+    "basis kind": lambda value: value in [kind.value for kind in BasisKind],
 }
 
 
 def _field(doc: dict, key: str, kind: str):
-    """``doc[key]``; a value that is not a JSON ``kind`` (a key of ``_JSON_KINDS``) is a ValueError."""
+    """``doc[key]``; a missing key, or a value not of JSON ``kind`` (a key of ``_JSON_KINDS``), is a ValueError."""
+    if key not in doc:
+        raise ValueError(f"{key} is missing")
     value = doc[key]
     if not _JSON_KINDS[kind](value):
         raise ValueError(f"{key} must be a JSON {kind}, got {value!r}")
     return value
 
 
-# the LogisticModel fields a model file stores beside its basis: (JSON kind, conversion on load)
-_MODEL_FIELDS = {
-    "intercept": ("number", float),
-    "coefficients": ("list of numbers", lambda values: tuple(map(float, values))),
-    "converged": ("boolean", bool),
-    "iterations": ("nonnegative integer", int),
-    "separation_flag": ("boolean", bool),
+def _domain(edges: list) -> tuple[float, float]:
+    if len(edges) != 2:
+        raise ValueError(f"domain must be a JSON list of two numbers, got {edges!r}")
+    return float(edges[0]), float(edges[1])
+
+
+# every field a model file stores, by the class it builds: the model's at the top level, and its
+# basis's in the object under "basis" (null for plain logistic regression). Each field has its
+# JSON kind, its conversion on load and its conversion on save.
+_FILE_FIELDS = {
+    LogisticModel: {
+        "intercept": ("number", float, float),
+        "coefficients": ("list of numbers", lambda values: tuple(map(float, values)), list),
+        "converged": ("boolean", bool, bool),
+        "iterations": ("nonnegative integer", int, int),
+        "separation_flag": ("boolean", bool, bool),
+    },
+    SplineBasisSpec: {
+        "kind": ("basis kind", BasisKind, lambda kind: kind.value),
+        "degree": ("integer", int, int),
+        "interior_knots": ("list of numbers", lambda values: KnotVector(tuple(values)), list),
+        "domain": ("list of numbers", _domain, list),
+    },
 }
 
 
-def _spec_from_dict(data: dict | None) -> SplineBasisSpec | None:
-    if data is None:
-        return None
-    kinds = {k.value: k for k in BasisKind}
-    if data.get("kind") not in kinds:
-        raise ModelLoadError(f"unknown basis kind {data.get('kind')!r}")
-    domain = _field(data, "domain", "list of numbers")
-    if len(domain) != 2:
-        raise ValueError(f"domain must be a JSON list of two numbers, got {domain!r}")
-    return SplineBasisSpec(
-        kind=kinds[data["kind"]],
-        degree=_field(data, "degree", "integer"),
-        interior_knots=KnotVector(tuple(_field(data, "interior_knots", "list of numbers"))),
-        domain=(float(domain[0]), float(domain[1])),
-    )
+def _to_doc(obj) -> dict:
+    """The JSON object of ``obj``'s fields in ``_FILE_FIELDS``."""
+    return {key: save(getattr(obj, key)) for key, (_, _, save) in _FILE_FIELDS[type(obj)].items()}
+
+
+def _from_doc(cls: type, doc: dict, **rest):
+    """A ``cls`` built from its fields in ``_FILE_FIELDS``, read from the JSON object ``doc``, and ``rest``."""
+    fields = {}
+    for key, (kind, load, _) in _FILE_FIELDS[cls].items():
+        try:
+            fields[key] = load(_field(doc, key, kind))
+        except OverflowError:  # an integer literal past the float range
+            raise ValueError(f"{key} holds a number beyond the float range") from None
+    return cls(**fields, **rest)
 
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
     """Persist a fitted model with its basis spec as canonical JSON."""
-    doc = {name: getattr(model, name) for name in _MODEL_FIELDS}
-    doc.update(format=MODEL_FILE_FORMAT, version=MODEL_FILE_VERSION, basis=_spec_to_dict(model.basis_spec))
+    spec = model.basis_spec
+    doc = _to_doc(model)
+    doc.update(format=MODEL_FILE_FORMAT, version=MODEL_FILE_VERSION, basis=None if spec is None else _to_doc(spec))
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    """Load a model written by :func:`save_model`."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        raise ModelLoadError(f"cannot read model file {path}: {err}") from None
+    """Load a model written by :func:`save_model`.
+
+    A file that ``read_json`` cannot read, that is not a model file of this version, or whose field in
+    ``_FILE_FIELDS`` is missing, of the wrong JSON kind or out of range is a ModelLoadError naming the file and
+    any such field.
+    """
+    doc = read_json(path, ModelLoadError, "model file")
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FILE_FORMAT:
         raise ModelLoadError(f"{path} is not a model file")
     if not _JSON_KINDS["integer"](doc.get("version")) or doc["version"] != MODEL_FILE_VERSION:
@@ -497,9 +507,10 @@ def load_model(path: str | Path) -> LogisticModel:
             f"unsupported model file version {doc.get('version')!r}, expected {MODEL_FILE_VERSION}"
         )
     try:
-        fields = {name: convert(_field(doc, name, kind)) for name, (kind, convert) in _MODEL_FIELDS.items()}
-        model = LogisticModel(basis_spec=_spec_from_dict(doc["basis"]), **fields)
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as err:
+        basis = _field(doc, "basis", "object or null")
+        spec = None if basis is None else _from_doc(SplineBasisSpec, basis)
+        model = _from_doc(LogisticModel, doc, basis_spec=spec)
+    except ValueError as err:
         raise ModelLoadError(f"corrupt model file {path}: {err}") from None
     if not math.isfinite(model.intercept) or not all(math.isfinite(c) for c in model.coefficients):
         raise ModelLoadError(f"corrupt model file {path}: non-finite coefficients")

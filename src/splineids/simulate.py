@@ -66,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, SplineIdsError
 
 
 class AttackType(Enum):
@@ -577,6 +577,16 @@ def json_default(value):
     if is_dataclass(value):
         return vars(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def read_json(path: str | Path, error: type[SplineIdsError], what: str):
+    """The JSON document in the UTF-8 file ``path``; a file that cannot be read is an ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError: bytes that are not UTF-8, text that is not JSON, an integer past the interpreter's digit limit
+    except (OSError, ValueError, RecursionError) as err:
+        raise error(f"cannot read {what} {path}: {err}") from None
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:

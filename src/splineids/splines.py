@@ -188,19 +188,6 @@ def quantile_knots(sample: Sequence[float], probs: Sequence[float]) -> KnotVecto
     return KnotVector(tuple(knots))
 
 
-def eval_linear_interpolant(data: InterpolationData, x: float) -> float:
-    """Piecewise-linear interpolant through ``data``, exact at every node."""
-    xs, ys = data.xs, data.ys
-    if x < xs[0] or x > xs[-1]:
-        raise OutOfDomainError(f"x={x} outside [{xs[0]}, {xs[-1]}]")
-    if x == xs[-1]:
-        return ys[-1]
-    i = bisect.bisect_right(xs, x) - 1
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[i], ys[i + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-
-
 def fit_quadratic_spline(data: InterpolationData) -> PiecewisePolynomial:
     """Interpolating quadratic spline, C1 at interior nodes, linear final piece.
 
@@ -335,11 +322,6 @@ class BSplineBasis:
     @property
     def n_functions(self) -> int:
         return len(self.extended_knots) - self.order
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        t = self.extended_knots.values
-        return t[self.order - 1], t[len(t) - self.order]
 
 
 def _blend(t: tuple[float, ...], i: int, k: int, x: float) -> float:

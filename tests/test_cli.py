@@ -234,6 +234,19 @@ class TestConfigErrorsAre1:
         assert code == 1, err
         assert_one_error_line(err)
 
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_scenario_nested_past_the_recursion_limit(self, tmp_path, command):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(b"[" * 5000)
+        if command == "simulate":
+            argv = ("simulate", "--config", cfg, "--out", tmp_path / "x.csv")
+        else:
+            argv = ("experiment", "--scenario", cfg)
+        code, _, err = main_in_process(*argv)
+        assert code == 1, err
+        assert_one_error_line(err)
+        assert err.startswith(f"splineids: config error: cannot read scenario file {cfg}:")
+
     def test_message_quoting_a_line_break_stays_one_line(self):
         code, _, err = main_in_process("experiment", "--models", "for\nest\x1e")
         assert code == 1, err
@@ -371,6 +384,8 @@ def test_corrupt_model_basis_is_2(trained, tmp_path, basis):
     code, _, err = main_in_process("evaluate", "--load", bad, "--data", data)
     assert code == 2, err
     assert_one_error_line(err)
+    field = "degree" if isinstance(basis, dict) else "basis"
+    assert err.startswith(f"splineids: data error: corrupt model file {bad}: {field} "), err
 
 
 @pytest.mark.parametrize(
@@ -421,6 +436,42 @@ def test_mistyped_model_field_is_2(trained, tmp_path, key, value, kind):
     assert code == 2, err
     assert err == f"splineids: data error: corrupt model file {bad}: {name} must be a JSON {kind}, got {value!r}\n"
     assert out == ""
+
+
+def _model_body(edit):
+    """A model-file body: the saved model's JSON after ``edit``, with "DIGITS" spelt as a 5000-digit integer."""
+    def body(text: str) -> bytes:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc).replace('"DIGITS"', "9" * 5000).encode()
+    return body
+
+
+# per case: the file body, made from the saved model's text, and the field its message names (None: no field)
+UNREADABLE_MODELS = {
+    "not_utf8": (lambda text: b"\xff" + text.encode(), None),
+    "intercept_of_5000_digits": (_model_body(lambda doc: doc.update(intercept="DIGITS")), None),
+    "nested_5000_deep": (lambda text: b"[" * 5000, None),
+    "no_coefficients": (_model_body(lambda doc: doc.pop("coefficients")), "coefficients"),
+    "no_basis": (_model_body(lambda doc: doc.pop("basis")), "basis"),
+    "intercept_past_the_float_range": (_model_body(lambda doc: doc.update(intercept=10**400)), "intercept"),
+    "basis_without_kind": (_model_body(lambda doc: doc["basis"].pop("kind")), "kind"),
+    "basis_kind_spline": (_model_body(lambda doc: doc["basis"].update(kind="spline")), "kind"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_MODELS)
+def test_unreadable_model_file_is_one_data_error(trained, tmp_path, case):
+    body, field = UNREADABLE_MODELS[case]
+    data, model = trained
+    bad = tmp_path / "model.json"
+    bad.write_bytes(body(model.read_text()))
+    code, out, err = main_in_process("evaluate", "--load", bad, "--data", data)
+    assert code == 2, err
+    assert_one_error_line(err)
+    assert err.startswith("splineids: data error:") and str(bad) in err and out == ""
+    if field is not None:
+        assert err.startswith(f"splineids: data error: corrupt model file {bad}: {field} "), err
 
 
 @pytest.mark.parametrize("model", ["logistic", "linear"])
@@ -532,6 +583,30 @@ _ROW = st.one_of(
     st.lists(_FIELD, min_size=1, max_size=7).map(",".join),
 )
 _CSV_TEXT = st.lists(_ROW, max_size=12).map(lambda rows: "\n".join([HEADER, *rows]) + "\n") | st.text(max_size=40)
+# bodies that no reader may turn into a traceback: a byte that is not UTF-8, a byte-order mark, nesting
+# past the recursion limit, an integer literal past the interpreter's digit limit
+_HOSTILE = st.sampled_from([b"\xff", b"\xef\xbb\xbf{}", b"[" * 5000, b'{"a":' * 5000, b"9" * 5000,
+                            b'{"seed": ' + b"9" * 5000 + b"}"]) | st.binary(max_size=12)
+_MODEL_KEYS = [("format",), ("version",), ("intercept",), ("coefficients",), ("converged",), ("iterations",),
+               ("separation_flag",), ("basis",), ("basis", "kind"), ("basis", "degree"),
+               ("basis", "interior_knots"), ("basis", "domain")]
+_DROP = object()
+# a model-file body: the valid model with one field dropped or retyped, or a hostile body
+_MODEL_EDIT = st.tuples(st.sampled_from(_MODEL_KEYS), st.just(_DROP) | _JSON) | _HOSTILE
+
+
+def _model_file(valid: Path, edit) -> bytes:
+    """The bytes of the model file ``valid`` after ``edit`` (a key path and a value or ``_DROP``), or ``edit``."""
+    if isinstance(edit, bytes):
+        return edit
+    (*parents, key), value = edit
+    doc = json.loads(valid.read_text())
+    owner = doc["basis"] if parents else doc
+    if value is _DROP:
+        del owner[key]
+    else:
+        owner[key] = value
+    return json.dumps(doc).encode()
 
 
 # per command: (required options, optional options); "--bogus" is never valid
@@ -549,13 +624,18 @@ _COMMANDS = {
 @st.composite
 def _invocation(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    files = {"scenario": draw(_SCENARIO_TEXT), "data": draw(_CSV_TEXT)}
+    files = {
+        "scenario": draw(_SCENARIO_TEXT.map(str.encode) | _HOSTILE),
+        "data": draw(_CSV_TEXT.map(str.encode) | _HOSTILE),
+        "model": draw(_MODEL_EDIT),
+    }
     # a file argument is drawn as a key into the per-example paths
-    path = st.sampled_from(["data", "scenario", "valid_data", "valid_model", "out", "dir", "absent"]).map(
+    path = st.sampled_from(["data", "scenario", "model", "valid_data", "valid_model", "out", "dir", "absent"]).map(
         lambda key: (key,)
     )
     values = {
-        "--data": path, "--scenario": path, "--config": path, "--load": path,
+        # --load mostly reads the drawn model body
+        "--data": path, "--scenario": path, "--config": path, "--load": st.just(("model",)) | path,
         "--out": path, "--report": path, "--save": path,
         "--seed": _NUMBER, "--n": _NUMBER, "--split-ratio": _NUMBER, "--split-seed": _NUMBER,
         "--bspline-degree": _NUMBER, "--threshold": _NUMBER, "--grid": _NUMBER,
@@ -574,19 +654,21 @@ def _invocation(draw):
     return argv, files
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_invocation())
 def test_malformed_input_ends_in_one_message(trained, invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "scenario.json").write_text(files["scenario"], encoding="utf-8")
-        (tmp / "data.csv").write_text(files["data"], encoding="utf-8")
+        (tmp / "scenario.json").write_bytes(files["scenario"])
+        (tmp / "data.csv").write_bytes(files["data"])
+        (tmp / "model.json").write_bytes(_model_file(trained[1], files["model"]))
         # copies, as an invocation may name a valid file as its --out, --save or --report path
         valid_data, valid_model = (Path(shutil.copy(path, tmp / f"valid_{path.name}")) for path in trained)
         paths = {
-            "data": tmp / "data.csv", "scenario": tmp / "scenario.json", "out": tmp / "out",
-            "dir": tmp, "absent": tmp / "absent", "valid_data": valid_data, "valid_model": valid_model,
+            "data": tmp / "data.csv", "scenario": tmp / "scenario.json", "model": tmp / "model.json",
+            "out": tmp / "out", "dir": tmp, "absent": tmp / "absent", "valid_data": valid_data,
+            "valid_model": valid_model,
         }
         code, _, err = main_in_process(*(paths[arg[0]] if isinstance(arg, tuple) else arg for arg in argv))
     if code == 0:

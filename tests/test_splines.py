@@ -26,7 +26,6 @@ from splineids.splines import (
     basis_matrix,
     basis_row,
     bspline_blend,
-    eval_linear_interpolant,
     eval_piecewise,
     fit_natural_cubic_spline,
     fit_quadratic_spline,
@@ -200,34 +199,6 @@ class TestKnotVector:
 
 # ---------------------------------------------------------------------------
 # interpolating constructors
-
-class TestLinearInterpolant:
-    data = interp([(0, 0), (1, 2), (2, 0)])
-
-    def test_segment_midpoint(self):
-        assert eval_linear_interpolant(self.data, 0.5) == pytest.approx(1.0)
-
-    def test_exact_at_node(self):
-        assert eval_linear_interpolant(self.data, 1.0) == 2.0
-
-    def test_right_endpoint_returns_last_value(self):
-        assert eval_linear_interpolant(self.data, 2.0) == 0.0
-
-    def test_exact_at_every_node(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            xs = spaced_abscissae(rng, 6, -5, 5, 0.05)
-            ys = rng.uniform(-10, 10, 6)
-            data = interp(zip(xs, ys))
-            for x, y in zip(xs, ys):
-                assert eval_linear_interpolant(data, x) == pytest.approx(y, abs=1e-9)
-
-    def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
-            eval_linear_interpolant(self.data, -0.1)
-        with pytest.raises(OutOfDomainError):
-            eval_linear_interpolant(self.data, 2.1)
-
 
 class TestQuadraticSpline:
     def test_worked_example_exact(self):
