@@ -586,7 +586,8 @@ def read_json(path: str | Path, error: type[SplineIdsError], what: str):
             return json.load(fh)
     # ValueError: bytes that are not UTF-8, text that is not JSON, an integer past the interpreter's digit limit
     except (OSError, ValueError, RecursionError) as err:
-        raise error(f"cannot read {what} {path}: {err}") from None
+        # an OSError's strerror is its reason without the path, which the message names already
+        raise error(f"cannot read {what} {path}: {getattr(err, 'strerror', None) or err}") from None
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:

@@ -2,8 +2,14 @@
 
 Piecewise polynomials are stored with coefficients of the global variable x
 (a + b*x + c*x**2 + d*x**3), so coefficients can be read off directly for a
-given interval. All evaluators treat the final breakpoint as included
-(closed right edge).
+given interval. The interpolating constructors build each piece in local
+form about its left break, and one expansion turns all pieces into global-x
+rows at once. All evaluators treat the final breakpoint as included (closed
+right edge).
+
+Every regression-basis spec, truncated-power or B-spline, expands to the
+clamped B-spline basis of its spline space, and that basis alone checks the
+domain and the knots.
 
 Regression bases are evaluated on whole arrays by ``basis_matrix``, a block
 of rows at a time; its entries match the scalar references (``bspline_blend``
@@ -188,33 +194,38 @@ def quantile_knots(sample: Sequence[float], probs: Sequence[float]) -> KnotVecto
     return KnotVector(tuple(knots))
 
 
+def _from_local_pieces(xs, ys, b, c, d, degree: int) -> PiecewisePolynomial:
+    """The piecewise polynomial whose piece i is ys[i] + b*u + c*u**2 + d*u**3, u = x - xs[i].
+
+    Expands every local piece about its left break to global-x (a, b, c, d)
+    rows at once; ``b``, ``c`` and ``d`` hold one entry per interval.
+    """
+    x0 = xs[:-1]
+    rows = np.column_stack(
+        (ys[:-1] - x0 * (b - x0 * (c - x0 * d)), b - x0 * (2.0 * c - 3.0 * d * x0), c - 3.0 * d * x0, d)
+    )
+    return PiecewisePolynomial(KnotVector(tuple(xs)), rows.tolist(), degree)
+
+
 def fit_quadratic_spline(data: InterpolationData) -> PiecewisePolynomial:
     """Interpolating quadratic spline, C1 at interior nodes, linear final piece.
 
-    The construction propagates slopes from the right: the last interval has
-    zero curvature (c = 0), and each earlier piece matches its right
-    neighbour's derivative at the shared node.
+    The construction propagates node slopes m from the right: the last
+    interval has zero curvature, so m[-1] is its secant, and each earlier
+    piece matches its right neighbour's slope at the shared node, which gives
+    m[i] = 2*secant[i] - m[i+1] and the quadratic coefficient
+    (secant[i] - m[i])/h[i].
     """
-    xs, ys = data.xs, data.ys
-    if len(xs) < 3:
+    if len(data.points) < 3:
         raise InsufficientDataError("quadratic spline needs at least 3 points")
-    n = len(xs) - 1
-    rows: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)] * n
-
-    b = (ys[n] - ys[n - 1]) / (xs[n] - xs[n - 1])
-    rows[n - 1] = (ys[n] - b * xs[n], b, 0.0, 0.0)
-
-    for i in range(n - 2, -1, -1):
-        _, b_r, c_r, _ = rows[i + 1]
-        xr = xs[i + 1]
-        slope = b_r + 2.0 * c_r * xr  # right piece's derivative at the shared node
-        secant = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        c = (slope - secant) / (xs[i + 1] - xs[i])
-        b = slope - 2.0 * c * xr
-        a = ys[i + 1] - (b + c * xr) * xr
-        rows[i] = (a, b, c, 0.0)
-
-    return PiecewisePolynomial(KnotVector(xs), tuple(rows), degree=2)
+    xs = np.asarray(data.xs, dtype=float)
+    ys = np.asarray(data.ys, dtype=float)
+    h = np.diff(xs)
+    secant = np.diff(ys) / h
+    m = secant.copy()
+    for i in range(len(m) - 2, -1, -1):
+        m[i] = 2.0 * secant[i] - m[i + 1]
+    return _from_local_pieces(xs, ys, m, (secant - m) / h, np.zeros_like(h), degree=2)
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -242,39 +253,21 @@ def fit_natural_cubic_spline(data: InterpolationData) -> PiecewisePolynomial:
         h[i-1]*M[i-1] + 2*(h[i-1]+h[i])*M[i] + h[i]*M[i+1]
             = 6*((y[i+1]-y[i])/h[i] - (y[i]-y[i-1])/h[i-1])
 
-    with M[0] = M[n] = 0, and each interval's cubic is expanded into global
-    (a, b, c, d) coefficients.
+    with M[0] = M[n] = 0. About its left break, piece i has the slope
+    secant[i] - h[i]*(2*M[i] + M[i+1])/6, the quadratic coefficient M[i]/2
+    and the cubic coefficient (M[i+1] - M[i])/(6*h[i]).
     """
+    if len(data.points) < 3:
+        raise InsufficientDataError("cubic spline needs at least 3 points")
     xs = np.asarray(data.xs, dtype=float)
     ys = np.asarray(data.ys, dtype=float)
-    if len(xs) < 3:
-        raise InsufficientDataError("cubic spline needs at least 3 points")
-    n = len(xs) - 1
     h = np.diff(xs)
-
-    rhs = 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
-    diag = 2.0 * (h[:-1] + h[1:])
+    secant = np.diff(ys) / h
     off = h[1:-1]
-    m = np.zeros(n + 1)
-    m[1:-1] = _solve_tridiagonal(off, diag, off, rhs)
-
-    rows = []
-    for i in range(n):
-        hi = h[i]
-        x0, x1 = xs[i], xs[i + 1]
-        aa = m[i] / (6.0 * hi)
-        bb = m[i + 1] / (6.0 * hi)
-        cc = ys[i] / hi - m[i] * hi / 6.0
-        dd = ys[i + 1] / hi - m[i + 1] * hi / 6.0
-        rows.append(
-            (
-                aa * x1**3 - bb * x0**3 + cc * x1 - dd * x0,
-                -3.0 * aa * x1**2 + 3.0 * bb * x0**2 - cc + dd,
-                3.0 * aa * x1 - 3.0 * bb * x0,
-                -aa + bb,
-            )
-        )
-    return PiecewisePolynomial(KnotVector(tuple(xs)), tuple(rows), degree=3)
+    m = np.zeros(len(xs))
+    m[1:-1] = _solve_tridiagonal(off, 2.0 * (h[:-1] + h[1:]), off, 6.0 * np.diff(secant))
+    b = secant - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    return _from_local_pieces(xs, ys, b, m[:-1] / 2.0, np.diff(m) / (6.0 * h), degree=3)
 
 
 def eval_piecewise(poly: PiecewisePolynomial, x: float) -> float:
@@ -311,12 +304,12 @@ class BSplineBasis:
     def clamped(cls, order: int, interior: Iterable[float], domain: tuple[float, float]) -> "BSplineBasis":
         lo, hi = float(domain[0]), float(domain[1])
         interior = tuple(float(v) for v in interior)
-        if not lo < hi:
-            raise ValueError("domain must satisfy min < max")
-        if any(not lo < v < hi for v in interior):
-            raise ValueError("interior knots must lie strictly inside the domain")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("domain must be finite with min < max")
         if any(b <= a for a, b in zip(interior, interior[1:])):
             raise ValueError("interior knots must be strictly increasing")
+        if any(not lo < v < hi for v in interior):
+            raise ValueError("interior knots must lie strictly inside the domain")
         return cls(order, KnotVector((lo,) * order + interior + (hi,) * order))
 
     @property
@@ -361,9 +354,12 @@ class BasisKind(Enum):
 class SplineBasisSpec:
     """Declarative description of a regression basis over one predictor.
 
-    ``domain`` is used for B-spline clamping; truncated-power bases have an
-    unrestricted domain. Dimension excludes the intercept: degree + #knots
-    for truncated-power, #knots + degree + 1 for B-splines.
+    Either kind spans the splines of ``degree`` on ``interior_knots`` over
+    ``domain`` and expands to that space's clamped B-spline basis
+    (``bspline_basis``), which checks the domain and the knots. B-spline
+    bases are clamped to ``domain``; truncated-power bases evaluate outside
+    it. Dimension excludes the intercept: degree + #knots for
+    truncated-power, #knots + degree + 1 for B-splines.
     """
 
     kind: BasisKind
@@ -372,16 +368,10 @@ class SplineBasisSpec:
     domain: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = (float(self.domain[0]), float(self.domain[1]))
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
         if self.degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("domain must be finite with min < max")
-        if not self.interior_knots.strictly_increasing:
-            raise ValueError("interior knots must be strictly increasing")
-        if any(not lo < v < hi for v in self.interior_knots):
-            raise ValueError("interior knots must lie strictly inside the domain")
+        self.bspline_basis()  # checks the domain and the knots
 
     @property
     def dimension(self) -> int:
@@ -391,8 +381,7 @@ class SplineBasisSpec:
         return n_knots + self.degree + 1
 
     def bspline_basis(self) -> BSplineBasis:
-        if self.kind is not BasisKind.BSPLINE:
-            raise ValueError("only B-spline specs expand to a blending basis")
+        """The clamped B-spline basis of this spec's spline space, of either kind; it checks the domain and knots."""
         return BSplineBasis.clamped(self.degree + 1, self.interior_knots.values, self.domain)
 
     @cached_property

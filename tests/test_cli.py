@@ -247,6 +247,24 @@ class TestConfigErrorsAre1:
         assert_one_error_line(err)
         assert err.startswith(f"splineids: config error: cannot read scenario file {cfg}:")
 
+    def test_absent_scenario_file_gives_the_reason_once(self, tmp_path):
+        cfg = tmp_path / "absent.json"
+        assert main_in_process("experiment", "--scenario", cfg) == (
+            1, "", f"splineids: config error: cannot read scenario file {cfg}: No such file or directory\n"
+        )
+
+    def test_unparsable_knots(self):
+        assert main_in_process("experiment", "--knots", "a,b") == (
+            1, "", "splineids: config error: cannot parse knot probabilities 'a,b'\n"
+        )
+
+    def test_scenario_cell_that_is_not_an_object(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"normal_congested": 5}))
+        assert main_in_process("experiment", "--scenario", cfg) == (
+            1, "", "splineids: config error: normal_congested must be an object of cell parameters\n"
+        )
+
     def test_message_quoting_a_line_break_stays_one_line(self):
         code, _, err = main_in_process("experiment", "--models", "for\nest\x1e")
         assert code == 1, err
@@ -472,6 +490,34 @@ def test_unreadable_model_file_is_one_data_error(trained, tmp_path, case):
     assert err.startswith("splineids: data error:") and str(bad) in err and out == ""
     if field is not None:
         assert err.startswith(f"splineids: data error: corrupt model file {bad}: {field} "), err
+
+
+def test_absent_model_file_gives_the_reason_once(trained, tmp_path):
+    data, _ = trained
+    absent = tmp_path / "absent.json"
+    assert main_in_process("evaluate", "--load", absent, "--data", data) == (
+        2, "", f"splineids: data error: cannot read model file {absent}: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (lambda doc: doc.update(intercept=math.nan), "non-finite coefficients"),
+        (lambda doc: doc["coefficients"].__setitem__(-1, math.inf), "non-finite coefficients"),
+        (lambda doc: doc["basis"].update(domain=[0.0, math.inf]), "domain must be finite with min < max"),
+    ],
+    ids=["intercept_NaN", "last_coefficient_Infinity", "domain_to_Infinity"],
+)
+def test_non_finite_model_value_is_2(trained, tmp_path, edit, reason):
+    data, model = trained
+    doc = json.loads(model.read_text())
+    edit(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))  # json spells the values as the literals NaN and Infinity
+    assert main_in_process("evaluate", "--load", bad, "--data", data) == (
+        2, "", f"splineids: data error: corrupt model file {bad}: {reason}\n"
+    )
 
 
 @pytest.mark.parametrize("model", ["logistic", "linear"])

@@ -135,6 +135,10 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="congestion_filter"):
             ExperimentConfig(congestion_filter="busy")
 
+    def test_data_csv_and_scenario_together_are_rejected(self):
+        with pytest.raises(ConfigError, match="^give either data_csv or scenario, not both$"):
+            ExperimentConfig(data_csv="traffic.csv", scenario=ScenarioConfig())
+
 
 
 class TestConfigDigest:

@@ -239,6 +239,17 @@ class TestFitLogistic:
             fd = (loglik(beta + e) - loglik(beta - e)) / (2.0 * h)
             assert fd == pytest.approx(grad[j], rel=1e-4, abs=1e-6)
 
+    def test_no_ascent_step_left_stops_as_stationary(self):
+        # a solve that returns the negated gradient, a descent direction, makes all _MAX_HALVINGS halvings fail
+        rng = np.random.default_rng(31)
+        x, y = logistic_sample(rng)
+        matrix = build_design_matrix(tp_spec(1, (4.0, 7.0)), x).matrix
+        with mock.patch.object(np.linalg, "lstsq", lambda hessian, gradient, rcond: (-gradient,)):
+            trace = irls(matrix, y.astype(float))
+        assert (trace.iterations, trace.converged, trace.separated) == (1, True, False)
+        assert len(trace.loglik_history) == 1
+        assert np.array_equal(trace.beta, np.zeros(matrix.shape[1]))
+
     @pytest.mark.parametrize("seed", [1, 42])
     def test_reported_loglik_is_the_exact_loglik_of_the_returned_beta(self, seed):
         config = ExperimentConfig()

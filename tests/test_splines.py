@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -452,6 +454,50 @@ class TestBasisRow:
             tp_spec(1, (11.0,))
 
 
+# each bad spec: degree, interior knots, domain and the message its check raises
+BAD_SPECS = {
+    "degree_0": (0, (2.0,), (0.0, 10.0), "degree must be 1, 2 or 3"),
+    "degree_4": (4, (2.0,), (0.0, 10.0), "degree must be 1, 2 or 3"),
+    "domain_to_inf": (1, (2.0,), (0.0, math.inf), "domain must be finite with min < max"),
+    "domain_from_nan": (1, (1.0,), (math.nan, 2.0), "domain must be finite with min < max"),
+    "domain_reversed": (1, (1.0,), (2.0, 0.0), "domain must be finite with min < max"),
+    "repeated_knot": (1, (2.0, 2.0), (0.0, 10.0), "interior knots must be strictly increasing"),
+    "repeated_knot_outside": (1, (12.0, 12.0), (0.0, 10.0), "interior knots must be strictly increasing"),
+    "knot_on_domain_edge": (1, (0.0, 5.0), (0.0, 10.0), "interior knots must lie strictly inside the domain"),
+    "knot_outside_domain": (1, (5.0, 11.0), (0.0, 10.0), "interior knots must lie strictly inside the domain"),
+}
+
+# each bad B-spline basis: order, extended knots and the message its check raises
+BAD_BASES = {
+    "order_0": (0, (0.0, 1.0), "order must be >= 1"),
+    "too_short": (2, (0.0, 0.0, 1.0), "extended knot vector too short for this order"),
+    "unclamped_ends": (2, (0.0, 1.0, 2.0, 2.0), "boundary knots must each repeat `order` times"),
+    "zero_width": (2, (0.0, 0.0, 0.0, 0.0), "clamped domain must have positive width"),
+}
+
+
+class TestBasisChecks:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("case", BAD_SPECS)
+    def test_bad_spec_raises_its_message(self, kind, case):
+        degree, knots, domain, message = BAD_SPECS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplineBasisSpec(kind, degree, KnotVector(knots), domain)
+
+    @pytest.mark.parametrize("case", [case for case in BAD_SPECS if not case.startswith("degree")])
+    def test_clamped_basis_makes_the_spec_checks(self, case):
+        # a spec leaves its domain and knot checks to the clamped basis of its space
+        degree, knots, domain, message = BAD_SPECS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BSplineBasis.clamped(degree + 1, knots, domain)
+
+    @pytest.mark.parametrize("case", BAD_BASES)
+    def test_bad_basis_raises_its_message(self, case):
+        order, knots, message = BAD_BASES[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BSplineBasis(order, KnotVector(knots))
+
+
 def _arrays(value):
     """Every array in a nest of tuples."""
     if isinstance(value, np.ndarray):
@@ -523,3 +569,17 @@ def test_degree_one_span_equivalence_least_squares():
             want = float(np.concatenate([[1.0], basis_row(tp, x)]) @ coef)
             got = float(basis_row(bs, x) @ fit)
             assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_truncated_power_spec_expands_to_the_bspline_basis_of_its_space(degree):
+    knots, domain = (2.0, 5.0, 8.0), (0.0, 10.0)
+    tp, bs = tp_spec(degree, knots, domain), bs_spec(degree, knots, domain)
+    assert tp.bspline_basis() == bs.bspline_basis()
+    # the truncated-power design, intercept included, lies in the span of the B-spline design
+    xs = np.linspace(0.0, 10.0, 200)
+    tp_design = np.column_stack([np.ones_like(xs), basis_matrix(tp, xs)])
+    bs_design = basis_matrix(bs, xs)
+    fit, *_ = np.linalg.lstsq(bs_design, tp_design, rcond=None)
+    residual = np.abs(bs_design @ fit - tp_design).max(axis=0)
+    assert np.all(residual <= 1e-12 * np.abs(tp_design).max(axis=0)), residual
