@@ -44,12 +44,14 @@ whole block: the int64 k of each real, and each drop count, becomes a
 digits × points array of ASCII bytes (``_digits``), whose text is what
 ``%.3f`` and ``%d`` print. ``read_csv`` reads a plain file (ASCII, with no
 quote, NUL or over-long line; see ``_plain_file``) with one ``np.loadtxt``
-call and decodes its (congested, attack_type, label) bytes against the
-spellings ``write_csv`` writes. Any other file, or one that ``loadtxt``
-refuses or whose rows fail a check, is read again from its first line with
-``csv.reader``: one per-row rule, ``_row_fault``, checks each row in a fixed
-order and appends its converted fields to typed columns, and the first
-faulty row raises with its file line.
+call, by its absolute path so that numpy reads it in chunks in C; only a
+name with a suffix numpy would decompress (``_DECOMPRESSED_SUFFIXES``) is
+handed over as an open file. It decodes the (congested, attack_type, label)
+bytes against the spellings ``write_csv`` writes. Any other file, or one
+that ``loadtxt`` refuses or whose rows fail a check, is read again from its
+first line with ``csv.reader``: one per-row rule, ``_row_fault``, checks
+each row in a fixed order and appends its converted fields to typed
+columns, and the first faulty row raises with its file line.
 """
 
 import contextlib
@@ -57,6 +59,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, field, is_dataclass
@@ -447,6 +450,8 @@ _HEADER_LINE = (CSV_HEADER + "\n").encode()
 # a row as loadtxt reads it; each tail field is wider than any spelling write_csv writes there, so a longer
 # spelling cut to the width still misses, and 2 or 8 bytes wide, so spellings compare as unsigned integers
 _ROW_DTYPE = np.dtype([*_COLUMNS[:3], ("congested", "S2"), ("attack_type", "S8"), ("label", "S2")])
+# the suffixes with which numpy's DataSource opens a path through a decompressor (np.lib._datasource._file_openers)
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def _row_fault(row: list[str], columns: tuple[array, ...]) -> str | None:
@@ -539,8 +544,9 @@ def _spelling_codes(column: np.ndarray, spellings: Iterable[str]) -> np.ndarray:
     """The index in ``spellings`` of each byte string in ``column``, or -1 where it is none of them."""
     as_int = np.dtype(f"u{column.itemsize}")
     words, codes = column.view(as_int), np.full(len(column), -1, np.int8)
+    # the spellings are distinct, so at most one match adds its code + 1 to a word's -1
     for code, value in enumerate(np.array([s.encode() for s in spellings], column.dtype).view(as_int)):
-        codes[words == value] = code
+        codes += (words == value).view(np.int8) * np.int8(code + 1)
     return codes
 
 
@@ -548,17 +554,26 @@ def read_csv(path: str | Path) -> TrafficTable:
     """Read a table written by :func:`write_csv`; errors carry the file line number.
 
     A plain file (see ``_plain_file``) is read by one ``np.loadtxt`` call,
-    and its real and drop-count columns are views of the rows read. Any
-    other file, or a plain one that ``loadtxt`` refuses or warns on, with a
-    tail that ``write_csv`` does not write or a value that fails the table's
-    check, is read again from its first line by ``_read_rows``.
+    which gets its absolute path, or an open file where numpy would take the
+    name's suffix for a compressed file (``.gz``, ``.bz2``, ``.xz``,
+    ``.lzma``); its real and drop-count columns are views of the rows read.
+    Any other file, or a plain one that ``loadtxt`` refuses or warns on,
+    with a tail that ``write_csv`` does not write or a value that fails the
+    table's check, is read again from its first line by ``_read_rows``.
     """
     if Path(path).is_file() and _plain_file(path):  # a pipe can be read only once, so only by csv.reader
+        # loadtxt reads a path in chunks in C, and a file object line by line. The path is absolute, as numpy
+        # takes a relative name like http://host/x.csv for a URL; a name numpy would decompress goes as a file.
+        absolute = os.path.abspath(path)
+        compressed = os.path.splitext(absolute)[1] in _DECOMPRESSED_SUFFIXES
         try:
-            # an open file, as loadtxt would pick a decompressor by the suffix of a path
-            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            with (
+                open(absolute, encoding="ascii") if compressed else contextlib.nullcontext(absolute)
+            ) as source, warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on a file with no rows
-                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1)
+                rows = np.loadtxt(
+                    source, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="ascii"
+                )
             flags, codes, labels = (
                 _spelling_codes(rows[name], spellings)
                 for name, spellings in (("congested", _FLAGS), ("attack_type", _TYPE_CODES), ("label", _FLAGS))

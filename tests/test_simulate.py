@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tracemalloc
+import urllib.request
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
@@ -1042,10 +1043,55 @@ class TestReaderParity:
     def test_plain_files_read_on_the_loadtxt_path(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_bytes(text.encode())
-        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+        with (
+            mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault,
+            mock.patch.object(simulate.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+        ):
             table = read_csv(path)
         assert row_fault.call_count == 0
         assert outcome(lambda _: table, path) == outcome(oracle_read_csv, path)
+        # loadtxt reads a path in chunks in C and a file object line by line
+        (source,), _ = loadtxt.call_args
+        if name == "data.csv":
+            assert source == str(path) and os.path.isabs(source)
+        else:
+            assert not isinstance(source, str) and source.name == str(path)
+
+    def test_a_relative_name_like_a_url_is_read_from_disk(self, tmp_path, monkeypatch):
+        # numpy takes a relative http://host/data.csv for a URL, which it would try to download
+        path = tmp_path / "http:" / "host" / "data.csv"
+        path.parent.mkdir(parents=True)
+        path.write_text(csv_text())
+        monkeypatch.chdir(tmp_path)
+
+        def no_download(*args, **kwargs):
+            raise AssertionError("numpy tried to open a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_download)
+        with mock.patch.object(simulate, "_row_fault", wraps=simulate._row_fault) as row_fault:
+            table = read_csv("http://host/data.csv")
+        assert row_fault.call_count == 0
+        assert outcome(lambda _: table, path) == outcome(oracle_read_csv, path)
+
+    def test_decompressed_suffixes_are_numpys(self):
+        # np.lib._datasource is private: a numpy that adds a decompressor suffix fails here first
+        openers = np.lib._datasource._file_openers
+        assert sorted(simulate._DECOMPRESSED_SUFFIXES) == sorted(key for key in openers.keys() if key is not None)
+
+    @pytest.mark.parametrize("field", ["congested", "attack_type"])  # 2 and 8 bytes wide; label is as congested
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_spelling_codes_match_a_lookup(self, field, data):
+        spellings = {"attack_type": simulate._TYPE_CODES}.get(field, simulate._FLAGS)
+        width = simulate._ROW_DTYPE[field].itemsize
+        known = [s.encode() for s in spellings]
+        near = [b"", b"\x00", *(s + b"X" * width for s in known), *(s[:-1] for s in known), *(s.upper() for s in known)]
+        words = data.draw(st.lists(st.sampled_from(known + near) | st.binary(max_size=width), max_size=40))
+        rows = np.zeros(len(words), simulate._ROW_DTYPE)
+        rows[field] = [word[:width] for word in words]  # loadtxt cuts a field to its width
+        lookup = dict(zip(known, range(len(known))))
+        expected = [lookup.get(word, -1) for word in rows[field].tolist()]  # numpy drops trailing NULs
+        assert simulate._spelling_codes(rows[field], spellings).tolist() == expected
 
     def test_record_after_a_multiline_field_is_named_by_its_file_line(self, tmp_path):
         # the attack label of row 3 spans file lines 5 and 6, so the faulty row 9 is on file line 12
