@@ -242,14 +242,15 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
     than 0 and 1 raise ``ValueError``, and ``fit_logistic`` raises
     :class:`InsufficientDataError` for labels of one class.
     """
-    knots = quantile_knots(x, config.knot_probs)
-    domain = (float(x.min()), float(x.max()))
+    distinct, inverse, trials = np.unique(x, return_inverse=True, return_counts=True)
+    # the distinct delays repeated by their counts are x sorted, so the knots' stable sort is one linear pass
+    knots = quantile_knots(np.repeat(distinct, trials), config.knot_probs)
+    domain = (float(distinct[0]), float(distinct[-1]))
     if not (domain[0] < knots[0] and knots[-1] < domain[1]):
         raise DegenerateKnotsError(
             f"knots {knots.values} do not lie strictly inside the training delays {list(domain)}"
         )
     y = binary_labels(y)
-    distinct, inverse, trials = np.unique(x, return_inverse=True, return_counts=True)
     successes = np.bincount(inverse, weights=y)
     models = {}
     for kind in ALL_MODELS:

@@ -236,8 +236,12 @@ class TrafficTable:
         return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
 
 
-# the bounds of the cell parameters that have any, as checked_float takes them; a mean of ln(ms) is any number
+# the bounds of the cell parameters that have any, as checked_float takes them; a mean of ln(ms) is any number.
+# A drop rate within them must also be one that numpy's Poisson sampler takes (see CellParams).
 _CELL_BOUNDS = {"delay_sigma": (0, math.inf, True), "drop_rate": (0, math.inf), "interval_sigma": (0, math.inf, True)}
+
+# CellParams asks its Poisson sampler whether it takes a rate, with a call of size 0 that draws nothing
+_POISSON_PROBE = np.random.Generator(np.random.PCG64(0))
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,9 @@ class CellParams:
     """Feature distributions for one (class, congestion) cell.
 
     ``delay_mu``/``interval_mu`` are means of ln(milliseconds); ``drop_rate``
-    is a Poisson mean.
+    is a Poisson mean, and one that numpy's Poisson sampler rejects (too
+    large a rate) is a ConfigError with numpy's message, whether or not a
+    record of the cell is ever drawn.
     """
 
     delay_mu: float
@@ -258,6 +264,10 @@ class CellParams:
         # stored as floats: the config digest's JSON rejects a Fraction or np.float32, and writes an int as 1, not 1.0
         for name, value in tuple(vars(self).items()):
             object.__setattr__(self, name, checked_float(name, value, *_CELL_BOUNDS.get(name, ())))
+        try:
+            _POISSON_PROBE.poisson(self.drop_rate, 0)
+        except ValueError as err:
+            raise ConfigError(f"drop_rate must be a rate numpy's Poisson sampler takes, got {self.drop_rate!r}: {err}")
 
 
 @dataclass(frozen=True)
@@ -312,10 +322,9 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
 
     Each column is drawn whole, as the module docstring says, the delays and
     intervals are rounded to the 1 µs grid, and the columns are checked as
-    one table. The first invalid record is named: a record whose Poisson
-    rate numpy rejects, or one whose values break the table's value rule (a
-    delay or interval that overflows, or rounds to 0), whichever comes
-    first; at one record, the rejected rate is reported.
+    one table. The first record whose values break the table's value rule
+    (a delay or interval that overflows, or rounds to 0) is named. Every
+    cell's Poisson rate was checked when the config was built.
     """
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
     jitter_rng, congested_rng, attacked_rng, type_rng, vehicle_rng, delay_rng, drops_rng, interval_rng = streams
@@ -334,18 +343,10 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
         delay = np.exp(delay_mu[cell] + jitter[vehicle] + delay_sigma[cell] * delay_rng.standard_normal(m))
         interval = np.exp(interval_mu[cell] + interval_sigma[cell] * interval_rng.standard_normal(m))
         delay, interval = _to_grid(delay), _to_grid(interval)
-    # a vector Poisson call rejects the whole array, so the records before the first rejected rate draw alone
-    rate_faults = [_poisson_fault(drops_rng, rate) for rate in drop_rate.tolist()]
-    bad = np.array([fault is not None for fault in rate_faults])[cell]
-    n = int(bad.argmax()) if bad.any() else m
-    drops = drops_rng.poisson(drop_rate[cell[:n]])
     try:
-        table = TrafficTable(delay[:n], drops, interval[:n], congested[:n], codes[:n])
+        return TrafficTable(delay, drops_rng.poisson(drop_rate[cell]), interval, congested, codes)
     except RowError as err:
         raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
-    if n < m:
-        raise ConfigError(f"scenario draws an invalid record {n}: {rate_faults[cell[n]]}")
-    return table
 
 
 def _to_grid(values: np.ndarray) -> np.ndarray:
@@ -361,15 +362,6 @@ def _attack_type_index(mix: Sequence[float], u: np.ndarray) -> np.ndarray:
     weights = np.asarray(mix, dtype=float)
     index = np.cumsum(weights / weights.sum()).searchsorted(u, side="right")
     return np.minimum(index, np.flatnonzero(weights)[-1])
-
-
-def _poisson_fault(stream: np.random.Generator, rate: float) -> str | None:
-    """numpy's message if its Poisson sampler rejects ``rate`` (too large a rate), or None; draws nothing."""
-    try:
-        stream.poisson(rate, 0)
-    except ValueError as err:
-        return str(err)
-    return None
 
 
 # the last three fields of a written row, indexed by len(AttackType) * congested + attack code

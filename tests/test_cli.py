@@ -207,7 +207,9 @@ BAD_SCENARIOS = [
     {"n_vehicles": 10**30},
     # valid types whose draws leave a record's range
     {"attack_uncongested": {"delay_mu": 1000}},
+    # a rate numpy's Poisson sampler rejects, in a cell that records are drawn from and in one that none is
     {"normal_uncongested": {"drop_rate": 1e30}},
+    {"attack_fraction": 0, "attack_congested": {"drop_rate": 1e30}},
 ]
 
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from splineids import experiment
-from splineids.errors import ConfigError, DegenerateKnotsError, InsufficientDataError, ModelLoadError, SplitError
+from splineids.errors import (
+    ConfigError,
+    DegenerateKnotsError,
+    EmptySampleError,
+    InsufficientDataError,
+    ModelLoadError,
+    SplitError,
+)
 from splineids.experiment import (
     ALL_MODELS,
     CurveBundle,
@@ -520,6 +527,35 @@ class TestFitModels:
                 for m in (model, ungrouped)
             )
             assert np.array_equal(grouped_labels, labels), kind
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # n = 20: the 0.25, 0.5 and 0.75 quantiles sit between sorted positions 4 and 5, 9 and 10, 14 and 15,
+            # and ties straddle the first two
+            np.repeat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 4, 2, 4, 2, 5]),
+            # ties that end at a quantile position
+            np.repeat([1.0, 2.0, 3.0, 4.0], [5, 5, 5, 5]),
+            # simulated delays on a 0.1 ms grid: a few dozen distinct values over 2000 rows
+            np.round(generate_dataset(ScenarioConfig(n_records=2000, seed=3)).packet_delay_ms, 1),
+        ],
+        ids=["straddling", "ending", "coarse_grid"],
+    )
+    def test_grouped_knots_and_domain_are_those_of_the_training_rows(self, x):
+        x = np.random.default_rng(0).permutation(x)
+        config = ExperimentConfig()
+        fitted = fit_models(config, x, np.arange(len(x)) % 2)
+        assert fitted.knots == quantile_knots(x, config.knot_probs)
+        assert fitted.domain == (x.min(), x.max()) and {type(end) for end in fitted.domain} == {float}
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [(np.array([]), EmptySampleError), (np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), DegenerateKnotsError)],
+        ids=["empty", "degenerate"],
+    )
+    def test_grouped_fit_reports_the_sample_before_a_bad_label(self, x, error):
+        with pytest.raises(error):
+            fit_models(ExperimentConfig(knot_probs=(0.25, 0.5)), x, np.full(len(x), 2))
 
     def test_labels_other_than_zero_and_one_are_rejected(self):
         x = np.arange(1.0, 21.0)

@@ -34,6 +34,32 @@ from splineids.simulate import (
 )
 
 
+def poisson_rejection(rate: float) -> str | None:
+    """numpy's message when its Poisson sampler rejects ``rate``, or None; a call of size 0 draws nothing."""
+    try:
+        np.random.default_rng(0).poisson(rate, 0)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def poisson_limit() -> float:
+    """The largest rate numpy's Poisson sampler takes, bisected over the float64 bit patterns."""
+    taken, rejected = np.array([0.0, 1e30]).view(np.int64).tolist()
+    while rejected - taken > 1:
+        middle = (taken + rejected) // 2
+        if poisson_rejection(np.int64(middle).view(np.float64).item()) is None:
+            taken = middle
+        else:
+            rejected = middle
+    return np.int64(taken).view(np.float64).item()
+
+
+def rejected_rate_message(rate: float) -> str:
+    """The config error of a drop rate numpy's Poisson sampler rejects."""
+    return f"drop_rate must be a rate numpy's Poisson sampler takes, got {rate!r}: {poisson_rejection(rate)}"
+
+
 class TestGenerateDataset:
     def test_deterministic_per_seed(self):
         a = generate_dataset(ScenarioConfig(seed=42))
@@ -94,7 +120,6 @@ class TestGenerateDataset:
         "overrides,message",
         [
             # each {cell} is the first record of that cell in the same-seed data
-            ({"normal_uncongested": {"drop_rate": 1e30}}, "record {normal_uncongested}: lam value too large"),
             (
                 {"attack_uncongested": {"delay_mu": 800}},
                 "record {attack_uncongested}: packet_delay_ms must be finite and positive, got inf",
@@ -103,20 +128,18 @@ class TestGenerateDataset:
                 {"normal_congested": {"interval_mu": -800}, "congested_fraction": 0.5},
                 "record {normal_congested}: transfer_interval_ms must be finite and positive, got 0.0",
             ),
-            # an invalid record drawn before the Poisson failure is the one reported
             (
-                {"normal_uncongested": {"drop_rate": 1e30}, "normal_congested": {"delay_mu": 800}},
+                {"normal_congested": {"delay_mu": 800}},
                 "record {normal_congested}: packet_delay_ms must be finite and positive, got inf",
             ),
-            # a Poisson failure before an invalid record is the one reported
             (
-                {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
-                "record {attack_congested}: lam value too large",
+                {"normal_uncongested": {"delay_mu": 800}},
+                "record {normal_uncongested}: packet_delay_ms must be finite and positive, got inf",
             ),
-            # at one record, the Poisson failure is reported ahead of the record's values
+            # at one record, the delay rule is reported ahead of the interval rule
             (
-                {"attack_uncongested": {"drop_rate": 1e30, "delay_mu": 800}},
-                "record {attack_uncongested}: lam value too large",
+                {"attack_uncongested": {"delay_mu": 800, "interval_mu": 800}},
+                "record {attack_uncongested}: packet_delay_ms must be finite and positive, got inf",
             ),
         ],
     )
@@ -128,6 +151,24 @@ class TestGenerateDataset:
         first = {name: int(np.argmax(cells == i)) for i, name in enumerate(simulate._CELL_NAMES)}
         with pytest.raises(ConfigError, match=f"^scenario draws an invalid {message.format(**first)}$"):
             generate_dataset(scenario_from_dict(overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"normal_uncongested": {"drop_rate": 1e30}},
+            # each of these scenarios with a valid rate draws an invalid record
+            {"normal_uncongested": {"drop_rate": 1e30}, "normal_congested": {"delay_mu": 800}},
+            {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
+            {"attack_uncongested": {"drop_rate": 1e30, "delay_mu": 800}},
+            # the first attack_congested record of seed 42 is record 155
+            {"attack_congested": {"drop_rate": 1e30}, "congested_fraction": 0.02},
+        ],
+    )
+    def test_a_rejected_rate_is_a_config_error_at_every_n_and_seed(self, overrides):
+        for n_records in (1, 155, 156, 600):
+            for seed in (1, 2, 42):
+                with pytest.raises(ConfigError, match=f"^{re.escape(rejected_rate_message(1e30))}$"):
+                    scenario_from_dict({**overrides, "n_records": n_records, "seed": seed})
 
     def test_config_errors_name_field(self):
         with pytest.raises(ConfigError, match="n_records"):
@@ -218,6 +259,25 @@ class TestFieldChecks:
         message = f"{name} must be a finite number in {interval}, got {value!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             CellParams(**{**fields, name: value})
+
+    @pytest.mark.parametrize("side", ["limit", "above"])
+    def test_drop_rate_is_taken_exactly_when_numpys_poisson_sampler_takes_it(self, side):
+        limit = poisson_limit()
+        rate = limit if side == "limit" else math.nextafter(limit, math.inf)
+        rejection = poisson_rejection(rate)
+        assert (rejection is None) == (side == "limit")
+        fields = {"delay_mu": 1.0, "delay_sigma": 1.0, "drop_rate": rate, "interval_mu": 1.0, "interval_sigma": 1.0}
+        if rejection is None:
+            assert CellParams(**fields).drop_rate == rate
+        else:
+            with pytest.raises(ConfigError, match=f"^{re.escape(rejected_rate_message(rate))}$"):
+                CellParams(**fields)
+
+    @pytest.mark.parametrize("cell", simulate._CELL_NAMES)
+    def test_a_rejected_rate_is_a_config_error_in_every_cell_drawn_or_not(self, cell):
+        # with no attacks no record is drawn from an attack cell
+        with pytest.raises(ConfigError, match=f"^{re.escape(rejected_rate_message(1e30))}$"):
+            scenario_from_dict({"attack_fraction": 0, "n_records": 1, cell: {"drop_rate": 1e30}})
 
     @pytest.mark.parametrize(
         "mix",
@@ -573,8 +633,7 @@ def oracle_generate_dataset(config: ScenarioConfig) -> TrafficTable:
     """Each column whole from its stream, then a scalar loop over the records.
 
     The loop works out each record's cell, attack type, vehicle and log-values
-    in Python floats, and draws its Poisson drops with a scalar call, which
-    raises at the record whose rate numpy rejects.
+    in Python floats, and draws its Poisson drops with a scalar call.
     """
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
     n = config.n_records
@@ -588,34 +647,26 @@ def oracle_generate_dataset(config: ScenarioConfig) -> TrafficTable:
     cells = (config.normal_uncongested, config.normal_congested, config.attack_uncongested, config.attack_congested)
 
     congested, codes, log_delay, drops, log_interval = [], [], [], [], []
-    failure = None
-    try:
-        for i in range(n):
-            c = congested_u[i] < config.congested_fraction
-            attacked = attacked_u[i] < config.attack_fraction
-            cell = cells[2 * attacked + c]
-            drops.append(poisson(cell.drop_rate))  # numpy's Poisson sampler rejects too large a rate
-            congested.append(c)
-            codes.append(bisect_right(cum_mix, type_u[i]) + 1 if attacked else 0)
-            vehicle = math.floor(vehicle_u[i] * config.n_vehicles)
-            log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * delay_z[i])
-            log_interval.append(cell.interval_mu + cell.interval_sigma * interval_z[i])
-    except ValueError as err:
-        failure = str(err)
+    for i in range(n):
+        c = congested_u[i] < config.congested_fraction
+        attacked = attacked_u[i] < config.attack_fraction
+        cell = cells[2 * attacked + c]
+        drops.append(poisson(cell.drop_rate))
+        congested.append(c)
+        codes.append(bisect_right(cum_mix, type_u[i]) + 1 if attacked else 0)
+        vehicle = math.floor(vehicle_u[i] * config.n_vehicles)
+        log_delay.append(cell.delay_mu + jitter[vehicle] + cell.delay_sigma * delay_z[i])
+        log_interval.append(cell.interval_mu + cell.interval_sigma * interval_z[i])
 
-    n = len(log_interval)  # the records drawn in full
     # an overflowing draw gives inf or NaN, which the table's check rejects
     with np.errstate(over="ignore", invalid="ignore"):
         delay, interval = np.exp(log_delay), np.exp(log_interval)
         # the 1 µs capture grid
         delay, interval = np.rint(delay * 1000) / 1000, np.rint(interval * 1000) / 1000
     try:
-        table = TrafficTable(delay, drops, interval, congested, codes)
+        return TrafficTable(delay, drops, interval, congested, codes)
     except RowError as err:
         raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
-    if failure is not None:
-        raise ConfigError(f"scenario draws an invalid record {n}: {failure}")
-    return table
 
 
 def generated(generate, config):
@@ -675,13 +726,12 @@ class TestGeneratorOracle:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"normal_uncongested": {"drop_rate": 1e30}},
             {"attack_uncongested": {"delay_mu": 800}},
             {"normal_congested": {"interval_mu": -800}, "congested_fraction": 0.5},
-            {"attack_congested": {"drop_rate": 1e30}, "normal_uncongested": {"delay_mu": 800}},
-            # the Poisson sampler fails late, at record 155 of seed 42
-            {"attack_congested": {"drop_rate": 1e30}, "congested_fraction": 0.02},
-            {"attack_uncongested": {"drop_rate": 1e30, "delay_mu": 800}},
+            {"normal_uncongested": {"delay_mu": 800}},
+            # the first invalid record comes late, at record 155 of seed 42
+            {"attack_congested": {"delay_mu": 800}, "congested_fraction": 0.02},
+            {"attack_uncongested": {"delay_mu": 800, "interval_mu": 800}},
         ],
     )
     def test_invalid_draws_match_the_scalar_loop(self, overrides):
