@@ -176,8 +176,6 @@ def irls(matrix: np.ndarray, y: np.ndarray, trials: np.ndarray | None = None) ->
     y = np.asarray(y, dtype=float)
     n = 1.0 if trials is None else np.asarray(trials, dtype=float)  # a product by 1.0 is exact
     beta = np.zeros(x.shape[1])
-    # lstsq's default cutoff for a square system of this size, worked out once per fit
-    rcond = np.finfo(float).eps * x.shape[1]
     eta = x @ beta
     ll, p = _loglik_and_prob(y, n, eta)
     history = [ll]
@@ -193,7 +191,7 @@ def irls(matrix: np.ndarray, y: np.ndarray, trials: np.ndarray | None = None) ->
             hessian = (x * weights[:, None]).T @ x
         if not np.isfinite(hessian).all():
             raise NumericalError("non-finite IRLS working quantities")
-        delta = np.linalg.lstsq(hessian, gradient, rcond=rcond)[0]
+        delta = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
 
         step = 1.0
         for _ in range(_MAX_HALVINGS):

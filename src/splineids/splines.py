@@ -306,6 +306,8 @@ class BSplineBasis:
         interior = tuple(float(v) for v in interior)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("domain must be finite with min < max")
+        if not math.isfinite(hi - lo):
+            raise ValueError("domain width max - min must be finite")
         if any(b <= a for a, b in zip(interior, interior[1:])):
             raise ValueError("interior knots must be strictly increasing")
         if any(not lo < v < hi for v in interior):
@@ -390,9 +392,8 @@ class SplineBasisSpec:
 
         Truncated powers: the exponent column (1, ..., d) and the knot
         column. B-splines: the extended-knot column and, for each order
-        k = 2, ..., degree + 1, a level of four arrays: the left and the
-        right denominators, each with 0 replaced by 1 and followed by the
-        mask of the functions whose denominator is 0. The instance keeps
+        k = 2, ..., degree + 1, a pair of arrays: the left and the right
+        denominators, each with 0 replaced by 1. The instance keeps
         them outside its dataclass fields, so ``==``, ``hash`` and the
         fields are unchanged.
         """
@@ -404,11 +405,8 @@ class SplineBasisSpec:
         levels = []
         for k in range(2, self.degree + 2):
             m = len(t) - k
-            level = ()
-            for den in (t[k - 1 : k - 1 + m] - t[:m], t[k : k + m] - t[1 : 1 + m]):
-                zero = den == 0.0
-                level += (_read_only(np.where(zero, 1.0, den)[:, None]), _read_only(zero))
-            levels.append(level)
+            dens = (t[k - 1 : k - 1 + m] - t[:m], t[k : k + m] - t[1 : 1 + m])
+            levels.append(tuple(_read_only(np.where(den == 0.0, 1.0, den)[:, None]) for den in dens))
         return _read_only(t[:, None]), tuple(levels)
 
 
@@ -433,24 +431,22 @@ def _truncated_power_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray
 
 def _bspline_block(spec: SplineBasisSpec, x: np.ndarray, out: np.ndarray) -> None:
     # Cox-de Boor over every x and every function at once, with _blend's
-    # arithmetic: each term is (x - t_i)/den * N and a term whose den is 0
-    # counts as +0.0. _blend starts each sum from +0.0; left + right equals
-    # that sum, signed zeros included, since the two terms are never both -0.0
+    # arithmetic and no masks. It equals _blend bit for bit, signed zeros
+    # included: every N is nonnegative and never -0.0; a zero denominator
+    # (stored as 1) only meets an N that is exactly 0, as its support is
+    # empty; the two terms are both -0.0 only if x < t_i and x > t_{i+k},
+    # which cannot happen, so each sum is the +0.0 that _blend returns
     tc, levels = spec.kernel_constants
     n = ((tc[:-1] <= x) & (x < tc[1:])).astype(float)
-    for k, (left_den, left_zero, right_den, right_zero) in enumerate(levels, start=2):
+    for k, (left_den, right_den) in enumerate(levels, start=2):
         m = len(tc) - k
-        left = (x - tc[:m]) / left_den * n[:m]
-        right = (tc[k : k + m] - x) / right_den * n[1 : 1 + m]
-        left[left_zero] = 0.0
-        right[right_zero] = 0.0
-        left += right
-        n = left
+        n_next = (x - tc[:m]) / left_den * n[:m]
+        n_next += (tc[k : k + m] - x) / right_den * n[1 : 1 + m]
+        n = n_next
     out.T[:] = n
-    # the exact right domain edge evaluates as the left limit
-    edge = x == spec.domain[1]
-    out[edge] = 0.0
-    out[edge, -1] = 1.0
+    # the exact right domain edge evaluates as the left limit; there every
+    # half-open level-1 indicator is 0, so its row is already all +0.0
+    out[x == spec.domain[1], -1] = 1.0
 
 
 def basis_matrix(spec: SplineBasisSpec, xs: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:

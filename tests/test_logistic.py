@@ -40,6 +40,14 @@ def bs_spec(degree, knots, domain):
     return SplineBasisSpec(BasisKind.BSPLINE, degree, KnotVector(knots), domain)
 
 
+def ulps_after(x, n):
+    """``x`` and the ``n - 1`` floats that follow it."""
+    values = [x]
+    for _ in range(n - 1):
+        values.append(float(np.nextafter(values[-1], np.inf)))
+    return values
+
+
 def logistic_labels(rng, x):
     """Labels at ``x`` drawn from a bounded logit, so the two classes overlap."""
     eta = -2.0 + 0.8 * x - 1.2 * np.maximum(x - 4.0, 0.0) + 0.9 * np.maximum(x - 7.0, 0.0)
@@ -88,9 +96,15 @@ class TestBuildDesignMatrix:
         with pytest.raises(NumericalError, match="row 1: basis value overflows"):
             build_design_matrix(tp_spec(3, (1.0,)), (2.0, 1e200, 1e300))
 
-    def test_non_finite_predictor_reports_row(self):
-        with pytest.raises(NumericalError, match="row 2: predictor is not finite"):
-            build_design_matrix(None, (1.0, 2.0, np.inf))
+    @pytest.mark.parametrize(
+        "spec, bad",
+        [(None, np.inf), (None, np.nan), (bs_spec(3, (1.0, 2.0), (0.0, 3.0)), np.nan)],
+        ids=["logistic_inf", "logistic_nan", "bspline_nan"],
+    )
+    def test_non_finite_predictor_reports_row(self, spec, bad):
+        # NaN passes the B-spline domain check; every entry of its row is NaN
+        with pytest.raises(NumericalError, match=f"^row 2: predictor is not finite for x={bad}$"):
+            build_design_matrix(spec, (1.0, 2.0, bad))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -128,6 +142,42 @@ class TestBuildDesignMatrix:
         got = build_design_matrix(spec, xs).matrix
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 where the reference has it
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "knots, domain",
+        [
+            ((2.5e-7, 5e-7, 7.5e-7), (0.0, 1e-6)),
+            ((1e6 - 0.5, 1e6 + 0.25), (1e6 - 1.0, 1e6 + 1.0)),
+            ((1e6 + 2e-7, 1e6 + 5e-7), (1e6, 1e6 + 1e-6)),
+            (tuple(ulps_after(0.5, 4)), (0.0, 1.0)),
+            (tuple(ulps_after(-3.0, 3)), (-3.5, -2.75)),
+        ],
+        ids=["width_1e-6", "offset_1e6", "width_1e-6_at_1e6", "knots_1_ulp_apart", "knots_1_ulp_apart_below_0"],
+    )
+    def test_bspline_edge_cases_match_the_scalar_reference_bit_for_bit(self, degree, knots, domain):
+        # the cases the bounded hypothesis property above does not draw: tiny widths, large offsets,
+        # knots ulps apart, and every point where a level-1 indicator switches
+        spec = bs_spec(degree, knots, domain)
+        basis = spec.bspline_basis()
+        lo, hi = domain
+        interior = np.array(knots)
+        xs = np.concatenate([
+            basis.extended_knots.values,
+            np.nextafter(interior, -np.inf),
+            np.nextafter(interior, np.inf),
+            [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)],
+            np.random.default_rng(degree).uniform(lo, hi, 200),
+        ])
+        edge_row = [0.0] * (basis.n_functions - 1) + [1.0]
+        want = [
+            edge_row if x == hi else [bspline_blend(basis, i, basis.order, x) for i in range(basis.n_functions)]
+            for x in xs.tolist()
+        ]
+        want = np.column_stack([np.ones(xs.size), np.array(want)])
+        got = build_design_matrix(spec, xs).matrix
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize(
         "spec",

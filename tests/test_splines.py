@@ -461,6 +461,7 @@ BAD_SPECS = {
     "domain_to_inf": (1, (2.0,), (0.0, math.inf), "domain must be finite with min < max"),
     "domain_from_nan": (1, (1.0,), (math.nan, 2.0), "domain must be finite with min < max"),
     "domain_reversed": (1, (1.0,), (2.0, 0.0), "domain must be finite with min < max"),
+    "domain_width_overflows": (1, (0.0,), (-1e308, 1e308), "domain width max - min must be finite"),
     "repeated_knot": (1, (2.0, 2.0), (0.0, 10.0), "interior knots must be strictly increasing"),
     "repeated_knot_outside": (1, (12.0, 12.0), (0.0, 10.0), "interior knots must be strictly increasing"),
     "knot_on_domain_edge": (1, (0.0, 5.0), (0.0, 10.0), "interior knots must lie strictly inside the domain"),
