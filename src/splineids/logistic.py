@@ -30,21 +30,43 @@ p >= 1 - 1e-12) the iteration stops at the current coefficients with
 ``separation_flag`` set. The flag means only that a probability reached
 the band; it is no proof of separation: plain logistic regression on
 overlapping classes can get it too.
+
+A fitted spline model is scored from its local polynomial pieces
+(``LogisticModel.pieces``), not from a design matrix, whenever its inputs
+lie within the pieces' reach, where the design path's predictor is provably
+finite; ``experiment._probabilities`` falls back on ``predict_prob`` and the
+design otherwise. Both paths apply ``clipped_sigmoid`` to the predictor.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyDataError, InsufficientDataError, NumericalError, ShapeError
-from .splines import SplineBasisSpec, basis_matrix
+from .splines import BasisKind, SplineBasisSpec, basis_matrix
 
 MAX_ITERATIONS = 50
 LOGLIK_TOL = 1e-8
 SEPARATION_BAND = 1e-12
 _PROB_CLIP = 1e-15
 _MAX_HALVINGS = 30
+# a bound on |eta| and on every design entry, far inside the float range, below which the design
+# path's linear predictor is finite, rounding included
+_ETA_LIMIT = 1e300
+# per degree d, the d + 1 points on [0, 1] at which a B-spline piece's eta is sampled, and the inverse
+# of their Vandermonde matrix, in exact rationals, which turns those samples into c_m * h**m on a piece
+# of width h. The points are the Chebyshev extreme points (1 - cos(j pi / d)) / 2, in exact binary
+# fractions; as they hold both breaks, c_0 is the design's eta at the left break. The constants are
+# written out, not inverted on import, which would load LAPACK code that IRLS does not use
+_PIECE_NODES = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0]), 3: np.array([0.0, 0.25, 0.75, 1.0])}
+_PIECE_INVERSE = {
+    1: np.array([[1.0, 0.0], [-1.0, 1.0]]),
+    2: np.array([[1.0, 0.0, 0.0], [-3.0, 4.0, -1.0], [2.0, -4.0, 2.0]]),
+    3: np.array([[3, 0, 0, 0], [-19, 24, -8, 3], [32, -56, 40, -16], [-16, 32, -32, 16]]) / 3.0,
+}
 
 
 @dataclass(frozen=True)
@@ -91,6 +113,71 @@ class LogisticModel:
     converged: bool
     iterations: int
     separation_flag: bool
+
+    @cached_property
+    def pieces(self) -> tuple:
+        """A spline model's linear predictor as local polynomial pieces, read-only, derived on first use.
+
+        eta is one polynomial of the basis degree d on each piece between the
+        domain ends and the interior knots (de Boor's pp-form). The tuple is
+        (knots, left, coefficients, reach): the interior knots; each piece's
+        left break; and the (d + 1) x pieces array whose row m holds c_m, so
+        that eta(x) = sum_m c_m (x - left)**m on the piece
+        ``np.searchsorted(knots, x, side="right")``. A truncated-power eta
+        is that polynomial on the first and last pieces past the domain too,
+        and its terms are expanded about each left break exactly; a B-spline
+        eta is sampled on each piece (``_bspline_pieces``), as its input is
+        clamped to the domain. ``reach`` is a bound on |x| within which every
+        design entry and |eta| stay below ``_ETA_LIMIT``, from max|beta|, the
+        dimension and the domain, so the design path's eta is finite there;
+        it is -inf, so that the pieces serve no input, when a coefficient is
+        not finite. The instance keeps the arrays outside its dataclass
+        fields, so model files, ``==`` and ``hash`` are unchanged.
+        """
+        spec = self.basis_spec
+        lo, hi = spec.domain
+        edge = max(abs(lo), abs(hi))
+        beta = np.array((self.intercept, *self.coefficients))
+        # every entry is at most (1 + |x| + edge)**d: |x|**j for j <= d, and (x - knot)_+**d for a knot
+        # inside the domain; B-spline entries are at most 1. A NaN beta makes scale and reach NaN
+        scale = float(np.max(np.abs(beta), initial=1.0))
+        reach = (max(_ETA_LIMIT / scale - 1.0, 0.0) / spec.dimension) ** (1.0 / spec.degree) - 1.0 - edge
+        knots = np.array(spec.interior_knots.values)
+        breaks = np.concatenate(((lo,), knots, (hi,)))
+        left = breaks[:-1]
+        with np.errstate(all="ignore"):  # a non-finite coefficient sets reach to -inf below
+            if spec.kind is BasisKind.TRUNCATED_POWER:
+                coefficients = _truncated_power_pieces(beta, spec.degree, knots, left)
+            else:
+                coefficients = _bspline_pieces(spec, beta, breaks)
+        if not np.isfinite(coefficients).all():
+            reach = -math.inf
+        for array in (knots, left, coefficients):
+            array.setflags(write=False)
+        return knots, left, coefficients, reach
+
+
+def _truncated_power_pieces(beta: np.ndarray, d: int, knots: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """c_m of each piece, exactly: about the piece's left break L, x**j is sum_m C(j, m) L**(j - m) u**m,
+    and (x - k)_+**d, on the pieces right of knot k, is sum_m C(d, m) (L - k)**(d - m) u**m."""
+    gap = left[:, None] - knots  # pieces x knots
+    on = gap >= 0.0
+    rows = []
+    for m in range(d + 1):
+        row = sum(math.comb(j, m) * beta[j] * left ** (j - m) for j in range(m, d + 1))
+        rows.append(row + math.comb(d, m) * (np.where(on, gap ** (d - m), 0.0) @ beta[d + 1 :]))
+    return np.array(rows)
+
+
+def _bspline_pieces(spec: SplineBasisSpec, beta: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """c_m of each piece from eta at the piece's ``_PIECE_NODES``, through ``basis_matrix``."""
+    d = spec.degree
+    s = _PIECE_NODES[d]
+    # a convex combination with binary-fraction weights: each node lies on its piece, the end nodes
+    # on the breaks themselves
+    nodes = breaks[:-1, None] * (1.0 - s) + breaks[1:, None] * s
+    eta = beta[0] + basis_matrix(spec, nodes.ravel()) @ beta[1:]
+    return _PIECE_INVERSE[d] @ eta.reshape(nodes.shape).T / np.diff(breaks) ** np.arange(d + 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -277,6 +364,11 @@ def predict_prob(model: LogisticModel, dm: DesignMatrix) -> np.ndarray:
     nan = np.isnan(eta)
     if nan.any():
         raise NumericalError(f"row {int(nan.argmax())}: linear predictor is not a number")
+    return clipped_sigmoid(eta)
+
+
+def clipped_sigmoid(eta: np.ndarray) -> np.ndarray:
+    """sigma(eta) clipped to [1e-15, 1 - 1e-15]; a predictor of +-inf gives a clipped end."""
     p = _sigmoid(eta)
     return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP, out=p)
 

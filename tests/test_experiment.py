@@ -6,14 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splineids import experiment
+from splineids import experiment, logistic
 from splineids.errors import (
     ConfigError,
     DegenerateKnotsError,
     EmptySampleError,
     InsufficientDataError,
     ModelLoadError,
+    NumericalError,
     SplitError,
 )
 from splineids.experiment import (
@@ -33,9 +36,17 @@ from splineids.experiment import (
     score_model,
     split_train_test,
 )
-from splineids.logistic import build_design_matrix, classify, fit_logistic, irls, predict_prob
+from splineids.logistic import (
+    LogisticModel,
+    build_design_matrix,
+    classify,
+    confusion_matrix,
+    fit_logistic,
+    irls,
+    predict_prob,
+)
 from splineids.simulate import MAX_COUNT, CellParams, ScenarioConfig, generate_dataset, scenario_from_dict
-from splineids.splines import quantile_knots
+from splineids.splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 
 @pytest.fixture(scope="module")
@@ -577,6 +588,138 @@ class TestScoreModel:
         assert outside[0] == edges[0]
         # truncated-power bases extrapolate, so nothing is clamped
         assert score_model(models[ModelKind.LINEAR_SPLINE], np.array([lo - 5.0, hi + 5.0]), [0, 1], 0.5)[1] == 0
+
+
+def _design(model, x):
+    """The design of ``x``, clamped to the domain for a B-spline model."""
+    spec = model.basis_spec
+    if spec is not None and spec.kind is BasisKind.BSPLINE:
+        x = np.clip(x, *spec.domain)
+    return build_design_matrix(spec, x)
+
+
+def _design_probabilities(model, x):
+    return predict_prob(model, _design(model, x))
+
+
+@st.composite
+def spline_models(draw):
+    """A model of either basis kind and any degree over 1-6 random knots, with coefficients up to 1e6."""
+    kind = draw(st.sampled_from(BasisKind))
+    degree = draw(st.integers(1, 3))
+    lo = draw(st.floats(-50.0, 100.0))
+    width = draw(st.floats(0.5, 100.0))
+    fractions = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True))
+    knots = sorted({lo + f * width for f in fractions})
+    spec = SplineBasisSpec(kind, degree, KnotVector(tuple(knots)), (lo, lo + width))
+    scale = 10.0 ** draw(st.integers(-2, 6))
+    beta = draw(st.lists(st.floats(-1.0, 1.0), min_size=1 + spec.dimension, max_size=1 + spec.dimension))
+    return LogisticModel(scale * beta[0], tuple(scale * b for b in beta[1:]), spec, True, 1, False)
+
+
+class TestScoringPieces:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_piece_constants_are_the_chebyshev_extreme_points_and_their_inverse_vandermonde(self, degree):
+        nodes = logistic._PIECE_NODES[degree]
+        assert np.abs(nodes - (1.0 - np.cos(np.arange(degree + 1) * np.pi / degree)) / 2.0).max() <= 1e-15
+        product = logistic._PIECE_INVERSE[degree] @ np.vander(nodes, increasing=True)
+        assert np.abs(product - np.eye(degree + 1)).max() <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=spline_models(), inside=st.lists(st.floats(0.0, 1.0), max_size=20), data=st.data())
+    def test_pieces_equal_the_design(self, model, inside, data):
+        spec = model.basis_spec
+        lo, hi = spec.domain
+        edges = np.array([lo, hi, *spec.interior_knots])
+        width = hi - lo
+        beyond = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6))
+        x = np.concatenate(
+            (
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                lo + width * np.array(inside),
+                # up to two domain widths past either end: truncated powers extrapolate, B-splines clamp
+                lo - width * np.array(beyond[::2]),
+                hi + width * np.array(beyond[1::2]),
+            )
+        )
+        # the pieces serve every point, not the design path
+        assert np.abs(x).max() <= model.pieces[3]
+        p, clamped = experiment._probabilities(model, x)
+        assert clamped == (int(np.sum((x < lo) | (x > hi))) if spec.kind is BasisKind.BSPLINE else 0)
+        # 1e-10, and a few ulps of the largest |term| sum: where the terms reach 1e6, a zero eta that the
+        # design gets exactly (a B-spline coefficient of 1e6 at a break where its function ends) comes
+        # out of the pieces as about 6e-10
+        dm = _design(model, x)
+        beta = np.array((model.intercept, *model.coefficients))
+        scale = (np.abs(dm.matrix) @ np.abs(beta)).max()
+        assert np.abs(p - predict_prob(model, dm)).max() <= 1e-10 + 16 * np.finfo(float).eps * scale
+
+
+@pytest.fixture(scope="module")
+def fitted_600():
+    records = generate_dataset(ScenarioConfig(n_records=600, seed=1))
+    return fit_models(ExperimentConfig(), records.packet_delay_ms, records.label).models
+
+
+_HUGE = float(np.finfo(float).max)
+
+
+class TestScoringRoute:
+    """Inputs and coefficients that the design path cannot score to a finite eta take that path."""
+
+    @staticmethod
+    def assert_scores_as_the_design(model, x):
+        labels = np.zeros(x.size, dtype=int)
+        try:
+            expected = _design_probabilities(model, x)
+        except Exception as err:
+            for score in (lambda: experiment._probabilities(model, x), lambda: score_model(model, x, labels, 0.5)):
+                with pytest.raises(type(err)) as raised:
+                    score()
+                assert str(raised.value) == str(err)
+            return
+        p, _ = experiment._probabilities(model, x)
+        spec = model.basis_spec
+        xc = np.clip(x, *spec.domain) if spec is not None and spec.kind is BasisKind.BSPLINE else x
+        if spec is not None and np.abs(xc).max() <= model.pieces[3]:
+            # the pieces' eta, which differs from the design's in its last bits
+            assert np.abs(p - expected).max() <= 1e-12
+        else:
+            assert np.array_equal(p, expected)
+        assert score_model(model, x, labels, 0.5)[0] == confusion_matrix(classify(expected), labels)
+
+    # 1e103 cubes past the float range, where a cubic piece with a small leading coefficient
+    # stays finite; at the largest float, the linear design's terms overflow where its last
+    # piece does not
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e150, -1e120, 1e103, _HUGE, -_HUGE])
+    @pytest.mark.parametrize("kind", ALL_MODELS, ids=lambda k: k.value)
+    def test_pieces_route_an_input_as_the_design(self, fitted_600, kind, value):
+        self.assert_scores_as_the_design(fitted_600[kind], np.array([2.0, value, 60.0]))
+
+    @pytest.mark.parametrize("kind", ALL_MODELS, ids=lambda k: k.value)
+    def test_pieces_route_coefficients_of_1e308_as_the_design(self, fitted_600, kind):
+        model = fitted_600[kind]
+        huge = dataclasses.replace(model, intercept=1e308, coefficients=(1e308,) * len(model.coefficients))
+        self.assert_scores_as_the_design(huge, np.array([1.0, 2.0, 60.0, 95.0]))
+
+    def test_pieces_route_the_cancelling_linear_model_as_the_design(self, fitted_600):
+        # above about 1.8 ms the terms 1e308 * x and -1e308 * x overflow and cancel to NaN
+        model = dataclasses.replace(
+            fitted_600[ModelKind.LINEAR_SPLINE], intercept=1e308, coefficients=(1e308, -1e308, 0.0, 0.0)
+        )
+        with pytest.raises(NumericalError, match="linear predictor is not a number"):
+            _design_probabilities(model, np.array([1.0, 2.0, 60.0]))
+        self.assert_scores_as_the_design(model, np.array([1.0, 2.0, 60.0]))
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_a_piece_too_narrow_for_its_coefficients_leaves_the_pieces_unused(self, degree):
+        # the width 1e-300 squared underflows to 0, so that B-spline piece's c_2 is not finite
+        spec = SplineBasisSpec(BasisKind.BSPLINE, degree, KnotVector((0.0, 1e-300)), (-1.0, 1.0))
+        model = LogisticModel(0.5, tuple(np.linspace(-1.0, 1.0, spec.dimension)), spec, True, 1, False)
+        assert model.pieces[3] == -np.inf
+        self.assert_scores_as_the_design(model, np.array([-0.5, 0.0, 5e-301, 0.5]))
 
 
 class TestModelPersistence:
