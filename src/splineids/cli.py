@@ -168,7 +168,9 @@ def _cmd_train(args) -> None:
         bspline_degree=args.bspline_degree,
     )
     records = exp.load_records(config)
-    (model,) = exp.fit_models(config, records.packet_delay_ms, records.label).models.values()
+    sample = exp.group_sample(config, records.packet_delay_ms, records.label)
+    del records  # the fit reads only the grouped sample
+    (model,) = exp.fit_sample(config, sample).models.values()
     exp.save_model(model, args.save)
 
 

@@ -15,6 +15,14 @@ the clamped B-spline domain is the training delay range; test delays outside
 that domain are clamped to the edge and counted as warnings so every test
 record stays scored. Truncated-power models are not clamped: their end
 pieces extrapolate past the domain as their bases do.
+
+Each stage of a run keeps alive only the arrays that the next stage reads.
+The loaded table goes straight into ``split_train_test``; of the test
+table only the test delays and labels are kept; the training table is
+grouped into distinct delays, trials and successes (``group_sample``)
+before the first fit. So during the fits nothing of the loaded table, the
+split tables, the training columns or ``np.unique``'s inverse is alive,
+and each fit holds only its design matrix over the distinct delays.
 """
 
 import hashlib
@@ -236,18 +244,30 @@ class FittedModels:
     models: dict[ModelKind, LogisticModel]
 
 
-def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> FittedModels:
-    """Fit each model in ``config.models`` on training delays ``x`` and labels ``y``.
+@dataclass(frozen=True)
+class TrainingSample:
+    """A training sample grouped by delay, with the knots and domain its models share.
+
+    ``trials[i]`` training records have the delay ``delays[i]``, and
+    ``successes[i]`` of them are attacks; ``delays`` is sorted and distinct.
+    """
+
+    knots: KnotVector
+    domain: tuple[float, float]
+    delays: np.ndarray
+    trials: np.ndarray
+    successes: np.ndarray
+
+
+def group_sample(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> TrainingSample:
+    """Group training delays ``x`` and labels ``y`` by distinct delay, with their knots and domain.
 
     The knots are the ``config.knot_probs`` quantiles of ``x``; the B-spline
-    domain is the range of ``x``. Each model is fitted on the distinct
-    delays, as (trials, successes): how many training records have that
-    delay, and how many of them are attacks. That is the fit on the records
-    one by one, on a design with a row per distinct delay. Models come back
-    in ``ALL_MODELS`` order. Knots that do not lie strictly inside that
-    range raise :class:`DegenerateKnotsError`, before any fit; labels other
-    than 0 and 1 raise ``ValueError``, and ``fit_logistic`` raises
-    :class:`InsufficientDataError` for labels of one class.
+    domain is the range of ``x``. An empty ``x`` raises :class:`EmptySampleError`,
+    then knots that coincide or do not lie strictly inside that range raise
+    :class:`DegenerateKnotsError`, then labels other than 0 and 1 raise
+    ``ValueError``. The sample holds none of the n-length arrays it was
+    grouped from.
     """
     distinct, inverse, trials = np.unique(x, return_inverse=True, return_counts=True)
     # the distinct delays repeated by their counts are x sorted, so the knots' stable sort is one linear pass
@@ -257,14 +277,36 @@ def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Fitted
         raise DegenerateKnotsError(
             f"knots {knots.values} do not lie strictly inside the training delays {list(domain)}"
         )
-    y = binary_labels(y)
-    successes = np.bincount(inverse, weights=y)
+    successes = np.bincount(inverse, weights=binary_labels(y))
+    return TrainingSample(knots, domain, distinct, trials, successes)
+
+
+def fit_sample(config: ExperimentConfig, sample: TrainingSample) -> FittedModels:
+    """Fit each model in ``config.models`` on the grouped ``sample``, in ``ALL_MODELS`` order.
+
+    Each model is fitted on the distinct delays, as (trials, successes).
+    That is the fit on the records one by one, on a design with a row per
+    distinct delay. ``fit_logistic`` raises :class:`InsufficientDataError`
+    for labels of one class.
+    """
     models = {}
     for kind in ALL_MODELS:
         if kind in config.models:
-            spec = basis_spec_for(kind, knots, domain, config.bspline_degree)
-            models[kind] = fit_logistic(build_design_matrix(spec, distinct), successes, trials)
-    return FittedModels(knots, domain, models)
+            spec = basis_spec_for(kind, sample.knots, sample.domain, config.bspline_degree)
+            models[kind] = fit_logistic(build_design_matrix(spec, sample.delays), sample.successes, sample.trials)
+    return FittedModels(sample.knots, sample.domain, models)
+
+
+def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> FittedModels:
+    """Fit each model in ``config.models`` on training delays ``x`` and labels ``y``.
+
+    ``group_sample`` then ``fit_sample``, so every error of the grouping
+    comes before any fit. The caller's names keep ``x`` and ``y`` alive
+    through the fits; a caller that can drop its records calls the two steps
+    itself and drops them in between, as ``run_experiment`` and the CLI's
+    ``train`` do.
+    """
+    return fit_sample(config, group_sample(config, x, y))
 
 
 def _probabilities(model: LogisticModel, x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -304,10 +346,16 @@ def score_model(
 
 
 def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
-    records = _filter_records(load_records(config), config.congestion_filter)
-    train, test = split_train_test(records, config.split_ratio, config.split_seed)
-    fitted = fit_models(config, train.packet_delay_ms, train.label)
+    # each stage keeps only what the next reads (see the module docstring)
+    train, test = split_train_test(
+        _filter_records(load_records(config), config.congestion_filter), config.split_ratio, config.split_seed
+    )
+    n_train, n_test = len(train), len(test)
     test_x, test_y = test.packet_delay_ms, test.label
+    del test
+    sample = group_sample(config, train.packet_delay_ms, train.label)
+    del train
+    fitted = fit_sample(config, sample)
 
     rows = []
     for kind, model in fitted.models.items():
@@ -326,8 +374,8 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
 
     report = ExperimentReport(
         rows=tuple(rows),
-        n_train=len(train),
-        n_test=len(test),
+        n_train=n_train,
+        n_test=n_test,
         knots_ms=fitted.knots.values,
         scenario_seed=None if config.data_csv is not None else (config.scenario or ScenarioConfig()).seed,
         split_seed=config.split_seed,

@@ -204,9 +204,10 @@ def build_design_matrix(spec: SplineBasisSpec | None, x: Sequence[float]) -> Des
     ``spec=None`` is the plain-logistic baseline whose sole feature column
     is the raw predictor. Spline bases come from ``basis_matrix``, which
     evaluates whole arrays block by block straight into this matrix and
-    matches the scalar ``bspline_blend`` bit for bit. Out-of-domain input
-    raises ``OutOfDomainError`` and non-finite entries ``NumericalError``,
-    each naming the first offending row.
+    matches the scalar ``bspline_blend`` bit for bit. Out-of-domain input,
+    NaN included for a B-spline basis, raises ``OutOfDomainError`` and
+    non-finite entries ``NumericalError``, each naming the first offending
+    row.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim != 1 or xs.size == 0:

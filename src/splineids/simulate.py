@@ -325,6 +325,13 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     one table. The first record whose values break the table's value rule
     (a delay or interval that overflows, or rounds to 0) is named. Every
     cell's Poisson rate was checked when the config was built.
+
+    Beside the table's own columns, only the attack flags and the cell
+    indices, a byte a record each, stay alive from column to column, and the
+    vehicle indices only until they have added the jitter. Each real column is computed in place in
+    one buffer (``_grid_exp``), with the arithmetic of the whole-array
+    expressions ``exp(mu[cell] + jitter[vehicle] + sigma[cell] * z)`` and
+    ``exp(mu[cell] + sigma[cell] * z)``, operation for operation.
     """
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(8)]
     jitter_rng, congested_rng, attacked_rng, type_rng, vehicle_rng, delay_rng, drops_rng, interval_rng = streams
@@ -335,23 +342,36 @@ def generate_dataset(config: ScenarioConfig) -> TrafficTable:
     m = config.n_records
     congested = congested_rng.random(m) < config.congested_fraction
     attacked = attacked_rng.random(m) < config.attack_fraction
-    codes = np.where(attacked, _attack_type_index(config.attack_mix, type_rng.random(m)) + 1, 0)
+    codes = np.where(attacked, _attack_type_index(config.attack_mix, type_rng.random(m)) + 1, 0).astype(np.int8)
+    cell = (2 * attacked + congested).astype(np.uint8)
     vehicle = (vehicle_rng.random(m) * config.n_vehicles).astype(np.intp)
-    cell = 2 * attacked + congested
     # an overflowing draw gives inf or NaN and one below 0.5 µs rounds to 0, which the table's check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        delay = np.exp(delay_mu[cell] + jitter[vehicle] + delay_sigma[cell] * delay_rng.standard_normal(m))
-        interval = np.exp(interval_mu[cell] + interval_sigma[cell] * interval_rng.standard_normal(m))
-        delay, interval = _to_grid(delay), _to_grid(interval)
+        delay = delay_mu[cell]
+        delay += jitter[vehicle]
+        del vehicle
+        delay = _grid_exp(delay, delay_sigma[cell], delay_rng.standard_normal(m))
+        interval = _grid_exp(interval_mu[cell], interval_sigma[cell], interval_rng.standard_normal(m))
     try:
         return TrafficTable(delay, drops_rng.poisson(drop_rate[cell]), interval, congested, codes)
     except RowError as err:
         raise ConfigError(f"scenario draws an invalid record {err.row}: {err.reason}") from None
 
 
-def _to_grid(values: np.ndarray) -> np.ndarray:
-    """``values`` in ms rounded to the nearest k / 1000, the 1 µs capture grid; below 0.5 µs that is 0."""
-    return np.rint(values * 1000.0) / 1000.0
+def _grid_exp(mean: np.ndarray, spread: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``exp(mean + spread * z)`` on the 1 µs grid, computed in ``mean``'s buffer; ``spread`` is overwritten."""
+    spread *= z
+    mean += spread
+    np.exp(mean, out=mean)
+    _to_grid(mean)
+    return mean
+
+
+def _to_grid(values: np.ndarray) -> None:
+    """Round ``values`` in ms, in place, to the nearest k / 1000, the 1 µs capture grid; below 0.5 µs that is 0."""
+    values *= 1000.0
+    np.rint(values, out=values)
+    values /= 1000.0
 
 
 def _attack_type_index(mix: Sequence[float], u: np.ndarray) -> np.ndarray:

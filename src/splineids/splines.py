@@ -271,9 +271,9 @@ def fit_natural_cubic_spline(data: InterpolationData) -> PiecewisePolynomial:
 
 
 def eval_piecewise(poly: PiecewisePolynomial, x: float) -> float:
-    """Evaluate ``poly`` at ``x``; the final breakpoint belongs to the last piece."""
+    """Evaluate ``poly`` at ``x``; the final breakpoint belongs to the last piece, and NaN lies outside."""
     bp = poly.breakpoints.values
-    if x < bp[0] or x > bp[-1]:
+    if not bp[0] <= x <= bp[-1]:
         raise OutOfDomainError(f"x={x} outside [{bp[0]}, {bp[-1]}]")
     i = bisect.bisect_right(bp, x) - 1
     if i == len(bp) - 1:
@@ -465,8 +465,8 @@ def basis_matrix(spec: SplineBasisSpec, xs: Sequence[float], out: np.ndarray | N
     ``max(x - k, 0.0)**d``; B-spline rows are ``bspline_blend`` of every
     function, except that the exact right domain edge gives the unit last
     row (the left limit), so every row sums to 1. Entries that overflow are
-    inf. B-spline input outside the domain raises ``OutOfDomainError``
-    naming the first offending row.
+    inf. B-spline input outside the domain, NaN included, raises
+    ``OutOfDomainError`` naming the first offending row.
     """
     x = np.asarray(xs, dtype=float)
     if spec.kind is BasisKind.TRUNCATED_POWER:
@@ -474,7 +474,7 @@ def basis_matrix(spec: SplineBasisSpec, xs: Sequence[float], out: np.ndarray | N
     else:
         kernel = _bspline_block
         lo, hi = spec.domain
-        outside = np.flatnonzero((x < lo) | (x > hi))
+        outside = np.flatnonzero(~((lo <= x) & (x <= hi)))  # NaN too
         if outside.size:
             i = outside[0]
             raise OutOfDomainError(f"row {i}: x={x[i]} outside B-spline domain [{lo}, {hi}]")

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splineids import experiment, logistic
+from splineids import cli, experiment, logistic, simulate
 from splineids.errors import (
     ConfigError,
     DegenerateKnotsError,
@@ -28,7 +30,9 @@ from splineids.experiment import (
     config_digest,
     emit_curves,
     fit_models,
+    fit_sample,
     emit_report,
+    group_sample,
     load_model,
     render_report,
     run_experiment,
@@ -45,7 +49,7 @@ from splineids.logistic import (
     irls,
     predict_prob,
 )
-from splineids.simulate import MAX_COUNT, CellParams, ScenarioConfig, generate_dataset, scenario_from_dict
+from splineids.simulate import MAX_COUNT, CellParams, ScenarioConfig, generate_dataset, scenario_from_dict, write_csv
 from splineids.splines import BasisKind, KnotVector, SplineBasisSpec, quantile_knots
 
 
@@ -131,8 +135,6 @@ class TestRunExperiment:
         assert rep.n_train + rep.n_test == len(records)
 
     def test_csv_source(self, tmp_path):
-        from splineids.simulate import write_csv
-
         path = tmp_path / "data.csv"
         write_csv(generate_dataset(ScenarioConfig()), path)
         rep = run_experiment(ExperimentConfig(data_csv=str(path)))
@@ -484,8 +486,6 @@ class TestCurvesReuseTheRunFit:
         assert reused == emit_curves(SMALL, grid_points=200).to_csv()
 
     def test_csv_rewritten_after_the_run_is_refitted(self, tmp_path):
-        from splineids.simulate import write_csv
-
         path = tmp_path / "data.csv"
         config = ExperimentConfig(data_csv=str(path))
         write_csv(generate_dataset(ScenarioConfig(n_records=300, seed=1)), path)
@@ -572,6 +572,98 @@ class TestFitModels:
         x = np.arange(1.0, 21.0)
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             fit_models(ExperimentConfig(), x, np.array([0, 2] * 10))
+
+
+class TestWorkingSet:
+    """Each stage of a run keeps alive only the arrays that the next stage reads."""
+
+    @staticmethod
+    def tables_alive_at_each_fit(monkeypatch) -> list[list[str]]:
+        """The tables, of those ``load_records`` and ``split_train_test`` return, alive at each ``fit_logistic`` call.
+
+        A table counts as alive while the table, one of its columns or the buffer a column views is; the
+        test table's delay column is left out, as the test delays are scored after the fits.
+        """
+        refs, alive = {}, []
+
+        def watch(name, table, kept=()):
+            columns = [getattr(table, column) for column, _ in simulate._COLUMNS if column not in kept]
+            refs[name] = [weakref.ref(obj) for obj in (table, *columns, *(column.base for column in columns))]
+
+        load, split, fit = experiment.load_records, experiment.split_train_test, experiment.fit_logistic
+
+        def load_records(config):
+            records = load(config)
+            watch("loaded", records)
+            return records
+
+        def split_train_test(records, ratio, seed):
+            train, test = split(records, ratio, seed)
+            watch("train", train)
+            watch("test", test, kept=("packet_delay_ms",))
+            return train, test
+
+        def fit_logistic(*args):
+            alive.append([name for name, objects in refs.items() if any(ref() is not None for ref in objects)])
+            return fit(*args)
+
+        for name, stand_in in (("load_records", load_records), ("split_train_test", split_train_test),
+                               ("fit_logistic", fit_logistic)):
+            monkeypatch.setattr(experiment, name, stand_in)
+        monkeypatch.setattr(experiment, "_last_fit", None)
+        return alive
+
+    @pytest.mark.parametrize("source", ["scenario", "csv"])
+    def test_no_table_is_alive_during_the_fits(self, tmp_path, monkeypatch, source):
+        config = ExperimentConfig()
+        if source == "csv":
+            write_csv(generate_dataset(ScenarioConfig()), tmp_path / "traffic.csv")
+            config = ExperimentConfig(data_csv=tmp_path / "traffic.csv")
+        alive = self.tables_alive_at_each_fit(monkeypatch)
+        run_experiment(config)
+        assert alive == [[]] * len(ALL_MODELS)
+
+    def test_train_holds_no_table_during_its_fit(self, tmp_path, monkeypatch):
+        alive = self.tables_alive_at_each_fit(monkeypatch)
+        assert cli.main(["train", "--model", "bspline", "--save", str(tmp_path / "model.json")]) == 0
+        assert alive == [[]]
+
+    def test_grouping_then_fitting_is_fit_models(self):
+        records = generate_dataset(ScenarioConfig(n_records=2000, seed=5))
+        config = ExperimentConfig()
+        x, y = records.packet_delay_ms, records.label
+        sample = group_sample(config, x, y)
+        assert np.array_equal(sample.delays, np.unique(x)) and sample.trials.sum() == len(x)
+        assert sample.successes.sum() == y.sum()
+        assert fit_sample(config, sample) == fit_models(config, x, y)
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def csv_100k(self, tmp_path_factory):
+        """A 100 000-record CSV and the bytes of the table written to it."""
+        path = tmp_path_factory.mktemp("working_set") / "traffic.csv"
+        table = generate_dataset(ScenarioConfig(n_records=100_000, seed=3))
+        write_csv(table, path)
+        return path, table.nbytes
+
+    # with the loaded and both split tables alive through the fits, the peak was 5.4 times the table
+    def test_run_experiment_peak_allocation_stays_near_the_table(self, csv_100k):
+        path, nbytes = csv_100k
+        assert self.traced_peak(lambda: run_experiment(ExperimentConfig(data_csv=path))) <= 3 * nbytes
+
+    # with the loaded table alive through the fit, the peak was 4.8 times the table
+    def test_train_peak_allocation_stays_near_the_table(self, tmp_path, csv_100k):
+        path, nbytes = csv_100k
+        argv = ["train", "--data", str(path), "--model", "bspline", "--save", str(tmp_path / "model.json")]
+        assert self.traced_peak(lambda: cli.main(argv)) <= 4.2 * nbytes
 
 
 class TestScoreModel:

@@ -92,17 +92,22 @@ class TestBuildDesignMatrix:
         with pytest.raises(OutOfDomainError, match="row 1"):
             build_design_matrix(spec, (1.0, 5.0))
 
+    def test_nan_is_outside_the_bspline_domain(self):
+        spec = bs_spec(3, (1.0, 2.0), (0.0, 3.0))
+        with pytest.raises(OutOfDomainError, match=r"^row 2: x=nan outside B-spline domain \[0\.0, 3\.0\]$"):
+            build_design_matrix(spec, (1.0, 2.0, np.nan, 5.0))
+
     def test_overflow_reports_row(self):
         with pytest.raises(NumericalError, match="row 1: basis value overflows"):
             build_design_matrix(tp_spec(3, (1.0,)), (2.0, 1e200, 1e300))
 
     @pytest.mark.parametrize(
         "spec, bad",
-        [(None, np.inf), (None, np.nan), (bs_spec(3, (1.0, 2.0), (0.0, 3.0)), np.nan)],
-        ids=["logistic_inf", "logistic_nan", "bspline_nan"],
+        [(None, np.inf), (None, np.nan), (tp_spec(3, (1.0, 2.0)), np.nan)],
+        ids=["logistic_inf", "logistic_nan", "truncated_power_nan"],
     )
     def test_non_finite_predictor_reports_row(self, spec, bad):
-        # NaN passes the B-spline domain check; every entry of its row is NaN
+        # a truncated-power basis has no domain to check, so a NaN predictor gives a row of NaN
         with pytest.raises(NumericalError, match=f"^row 2: predictor is not finite for x={bad}$"):
             build_design_matrix(spec, (1.0, 2.0, bad))
 

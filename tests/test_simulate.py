@@ -1384,6 +1384,8 @@ def test_each_input_builds_one_checked_table(tmp_path, source):
 
 
 def test_generate_peak_allocation_stays_near_the_table():
+    # each real column is computed in place in one buffer; computed by whole-array expressions, with
+    # int64 attack codes and cell indices, the peak was 2.5 times the table
     config = ScenarioConfig(n_records=100_000, seed=3)
     tracemalloc.start()
     try:
@@ -1391,4 +1393,4 @@ def test_generate_peak_allocation_stays_near_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * table.nbytes
+    assert peak <= 1.8 * table.nbytes

@@ -315,8 +315,9 @@ class TestEvalPiecewise:
         assert eval_piecewise(self.paper_poly, 1.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
-            eval_piecewise(self.paper_poly, 1.5)
+        for x in (-1.5, 1.5, math.nan):
+            with pytest.raises(OutOfDomainError, match=f"^x={x} outside"):
+                eval_piecewise(self.paper_poly, x)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +440,8 @@ class TestBasisRow:
             basis_row(spec, -0.01)
         with pytest.raises(OutOfDomainError):
             basis_row(spec, 3.01)
+        with pytest.raises(OutOfDomainError, match="x=nan"):
+            basis_row(spec, math.nan)
 
     def test_dimensions(self):
         assert len(basis_row(tp_spec(2, (1.0, 2.0, 3.0)), 0.5)) == 5
