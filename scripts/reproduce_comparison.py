@@ -6,12 +6,12 @@ and prints the text report to stdout.
 """
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
 from splineids.errors import SplineIdsError
 from splineids.experiment import (
+    CURVE_GRID_POINTS,
     ExperimentConfig,
     emit_curves,
     emit_report,
@@ -22,12 +22,11 @@ from splineids.simulate import ScenarioConfig
 
 def main():
     # each default is the library's: a dataclass field's default is its class attribute
-    grid_points = inspect.signature(emit_curves).parameters["grid_points"].default
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=ScenarioConfig.seed, help="scenario seed")
     parser.add_argument("--split-seed", type=int, default=ExperimentConfig.split_seed)
     parser.add_argument("--n", type=int, default=ScenarioConfig.n_records, help="number of records")
-    parser.add_argument("--grid", type=int, default=grid_points, help="curve grid points")
+    parser.add_argument("--grid", type=int, default=CURVE_GRID_POINTS, help="curve grid points")
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 

@@ -6,7 +6,6 @@ failure. All randomness flows from explicit seed flags.
 
 import argparse
 import csv
-import inspect
 import sys
 from pathlib import Path
 
@@ -99,9 +98,6 @@ def _add_experiment_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the report format and the curve grid default as emit_report and emit_curves do
-    fmt = inspect.signature(exp.emit_report).parameters["fmt"].default
-    grid_points = inspect.signature(exp.emit_curves).parameters["grid_points"].default
     parser = _Parser(prog="splineids", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -115,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the five-model comparison")
     _add_experiment_args(p)
     p.add_argument("--report", help="write the report here (default: stdout)")
-    p.add_argument("--format", choices=exp.REPORT_FORMATS, default=fmt)
+    p.add_argument("--format", choices=exp.REPORT_FORMATS, default=exp.REPORT_FORMATS[0])
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("curves", help="emit prediction curves over a delay grid")
     _add_experiment_args(p)
-    p.add_argument("--grid", type=int, default=grid_points)
+    p.add_argument("--grid", type=int, default=exp.CURVE_GRID_POINTS)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_curves)
 
@@ -170,7 +166,7 @@ def _cmd_train(args) -> None:
     records = exp.load_records(config)
     sample = exp.group_sample(config, records.packet_delay_ms, records.label)
     del records  # the fit reads only the grouped sample
-    (model,) = exp.fit_sample(config, sample).models.values()
+    (model,) = exp.fit_sample(config, sample).values()
     exp.save_model(model, args.save)
 
 

@@ -90,7 +90,11 @@ _FOOTNOTE = (
 # the congestion filters: every record, the congested ones, the uncongested ones
 CONGESTION_FILTERS = ("all", "congested", "uncongested")
 
+# the report formats, the first the default
 REPORT_FORMATS = ("text", "csv")
+
+# the default number of points on the curve grid
+CURVE_GRID_POINTS = 200
 
 
 def _as_tuple(name: str, value) -> tuple:
@@ -236,15 +240,6 @@ def _filter_records(records: TrafficTable, which: str) -> TrafficTable:
 
 
 @dataclass(frozen=True)
-class FittedModels:
-    """The models fitted on one training sample, with the knots and domain they share."""
-
-    knots: KnotVector
-    domain: tuple[float, float]
-    models: dict[ModelKind, LogisticModel]
-
-
-@dataclass(frozen=True)
 class TrainingSample:
     """A training sample grouped by delay, with the knots and domain its models share.
 
@@ -281,8 +276,8 @@ def group_sample(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> Trai
     return TrainingSample(knots, domain, distinct, trials, successes)
 
 
-def fit_sample(config: ExperimentConfig, sample: TrainingSample) -> FittedModels:
-    """Fit each model in ``config.models`` on the grouped ``sample``, in ``ALL_MODELS`` order.
+def fit_sample(config: ExperimentConfig, sample: TrainingSample) -> dict[ModelKind, LogisticModel]:
+    """Each model in ``config.models`` fitted on the grouped ``sample``, keyed in ``ALL_MODELS`` order.
 
     Each model is fitted on the distinct delays, as (trials, successes).
     That is the fit on the records one by one, on a design with a row per
@@ -294,19 +289,7 @@ def fit_sample(config: ExperimentConfig, sample: TrainingSample) -> FittedModels
         if kind in config.models:
             spec = basis_spec_for(kind, sample.knots, sample.domain, config.bspline_degree)
             models[kind] = fit_logistic(build_design_matrix(spec, sample.delays), sample.successes, sample.trials)
-    return FittedModels(sample.knots, sample.domain, models)
-
-
-def fit_models(config: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> FittedModels:
-    """Fit each model in ``config.models`` on training delays ``x`` and labels ``y``.
-
-    ``group_sample`` then ``fit_sample``, so every error of the grouping
-    comes before any fit. The caller's names keep ``x`` and ``y`` alive
-    through the fits; a caller that can drop its records calls the two steps
-    itself and drops them in between, as ``run_experiment`` and the CLI's
-    ``train`` do.
-    """
-    return fit_sample(config, group_sample(config, x, y))
+    return models
 
 
 def _probabilities(model: LogisticModel, x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -345,7 +328,7 @@ def score_model(
     return confusion_matrix(classify(probs, threshold), y), clamped
 
 
-def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
+def _run(config: ExperimentConfig) -> tuple[ExperimentReport, dict[ModelKind, LogisticModel]]:
     # each stage keeps only what the next reads (see the module docstring)
     train, test = split_train_test(
         _filter_records(load_records(config), config.congestion_filter), config.split_ratio, config.split_seed
@@ -355,10 +338,10 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
     del test
     sample = group_sample(config, train.packet_delay_ms, train.label)
     del train
-    fitted = fit_sample(config, sample)
+    models = fit_sample(config, sample)
 
     rows = []
-    for kind, model in fitted.models.items():
+    for kind, model in models.items():
         cm, clamped = score_model(model, test_x, test_y, config.threshold)
         rows.append(
             ModelRow(
@@ -376,18 +359,18 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, FittedModels]:
         rows=tuple(rows),
         n_train=n_train,
         n_test=n_test,
-        knots_ms=fitted.knots.values,
+        knots_ms=sample.knots.values,
         scenario_seed=None if config.data_csv is not None else (config.scenario or ScenarioConfig()).seed,
         split_seed=config.split_seed,
         config_digest=config_digest(config),
-        bspline_domain=fitted.domain,
+        bspline_domain=sample.domain,
     )
-    return report, fitted
+    return report, models
 
 
 # the report and fit of the last run_experiment call on a scenario config, until emit_curves takes
 # them; a scenario fixes its data through the seeded stream, while a CSV may change between two calls
-_last_fit: tuple[ExperimentConfig, tuple[ExperimentReport, FittedModels]] | None = None
+_last_fit: tuple[ExperimentConfig, tuple[ExperimentReport, dict[ModelKind, LogisticModel]]] | None = None
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -398,7 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return run[0]
 
 
-def render_report(report: ExperimentReport, fmt: str = "text") -> str:
+def render_report(report: ExperimentReport, fmt: str = REPORT_FORMATS[0]) -> str:
     """Render a report in one of ``REPORT_FORMATS``; text mirrors the TP/FP/TN/FN/accuracy table layout."""
     if fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format '{fmt}'")
@@ -465,14 +448,14 @@ def _render_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, fmt: str = "text", path: str | Path | None = None) -> str:
+def emit_report(report: ExperimentReport, fmt: str = REPORT_FORMATS[0], path: str | Path | None = None) -> str:
     text = render_report(report, fmt)
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
 
 
-def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle:
+def emit_curves(config: ExperimentConfig, grid_points: int = CURVE_GRID_POINTS) -> CurveBundle:
     """Fit per ``config`` and evaluate every model over an even delay grid.
 
     When the preceding :func:`run_experiment` call ran an equal scenario
@@ -483,9 +466,9 @@ def emit_curves(config: ExperimentConfig, grid_points: int = 200) -> CurveBundle
     global _last_fit
     grid_points = checked_int("grid_points", grid_points, 2, MAX_COUNT)
     last, _last_fit = _last_fit, None
-    report, fitted = last[1] if last is not None and last[0] == config else _run(config)
-    delays = np.linspace(*fitted.domain, grid_points)
-    probabilities = {kind: _probabilities(model, delays)[0] for kind, model in fitted.models.items()}
+    report, models = last[1] if last is not None and last[0] == config else _run(config)
+    delays = np.linspace(*report.bspline_domain, grid_points)
+    probabilities = {kind: _probabilities(model, delays)[0] for kind, model in models.items()}
     return CurveBundle(delays, probabilities, report.config_digest)
 
 

@@ -12,7 +12,7 @@ accepted iterations. It fits grouped binomial data: row i of the design
 stands for ``n_i`` trials at one predictor value, ``y_i`` of them
 successes. Rows that share a value may be grouped this way without
 changing the log-likelihood, its gradient or its Hessian, so the fit is
-the one on the rows one by one; ``experiment.fit_models`` fits each model
+the one on the rows one by one; ``experiment.fit_sample`` fits each model
 on the distinct training delays as (trials, successes). Without trials,
 each row is one trial and ``y`` holds 0/1 labels.
 

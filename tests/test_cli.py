@@ -21,7 +21,8 @@ from splineids.experiment import (
     ExperimentConfig,
     ModelKind,
     emit_curves,
-    fit_models,
+    fit_sample,
+    group_sample,
     load_model,
     score_model,
 )
@@ -593,7 +594,7 @@ def test_train_evaluate_match_fit_and_score(trained, tmp_path, kind):
 
     config = ExperimentConfig(data_csv=str(train_csv), knot_probs=(0.2, 0.5, 0.8), models=(kind,))
     train, fresh = read_csv(train_csv), read_csv(fresh_csv)
-    model = fit_models(config, train.packet_delay_ms, train.label).models[kind]
+    model = fit_sample(config, group_sample(config, train.packet_delay_ms, train.label))[kind]
     assert load_model(model_path) == model
     cm, clamped = score_model(model, fresh.packet_delay_ms, fresh.label, 0.4)
     fields = dict(line.split(": ") for line in out.splitlines())

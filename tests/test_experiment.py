@@ -29,7 +29,6 @@ from splineids.experiment import (
     basis_spec_for,
     config_digest,
     emit_curves,
-    fit_models,
     fit_sample,
     emit_report,
     group_sample,
@@ -497,23 +496,34 @@ class TestCurvesReuseTheRunFit:
 
 
 class TestFitModels:
+    def test_models_given_out_of_order_come_out_in_canonical_order(self):
+        given = (ModelKind.BSPLINE, ModelKind.LOGISTIC, ModelKind.QUADRATIC_SPLINE)
+        canonical = [ModelKind.LOGISTIC, ModelKind.QUADRATIC_SPLINE, ModelKind.BSPLINE]
+        config = ExperimentConfig(scenario=ScenarioConfig(n_records=300, seed=3), models=given)
+        assert [row.model for row in run_experiment(config).rows] == canonical
+        assert emit_curves(config, grid_points=5).to_csv().splitlines()[1] == "delay_ms,logistic,quadratic,bspline"
+        train, _ = split_train_test(generate_dataset(config.scenario), config.split_ratio, config.split_seed)
+        assert list(fit_sample(config, group_sample(config, train.packet_delay_ms, train.label))) == canonical
+
     def test_domain_is_the_training_range(self):
         records = generate_dataset(ScenarioConfig(n_records=200, seed=11))
         x, y = records.packet_delay_ms, records.label
-        fitted = fit_models(ExperimentConfig(models=(ModelKind.BSPLINE,)), x, y)
-        assert fitted.domain == (x.min(), x.max())
-        assert fitted.models[ModelKind.BSPLINE].basis_spec.domain == fitted.domain
+        config = ExperimentConfig(models=(ModelKind.BSPLINE,))
+        sample = group_sample(config, x, y)
+        assert sample.domain == (x.min(), x.max())
+        assert fit_sample(config, sample)[ModelKind.BSPLINE].basis_spec.domain == sample.domain
 
     def test_knot_on_the_lowest_delay_is_rejected(self):
         x = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(DegenerateKnotsError, match="strictly inside"):
-            fit_models(ExperimentConfig(knot_probs=(0.25, 0.5)), x, np.array([0, 1] * 4))
+            group_sample(ExperimentConfig(knot_probs=(0.25, 0.5)), x, np.array([0, 1] * 4))
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_one_class_labels_are_rejected(self, label):
         x = np.arange(1.0, 21.0)
+        config = ExperimentConfig()
         with pytest.raises(InsufficientDataError, match=f"^every training label is {label};"):
-            fit_models(ExperimentConfig(), x, np.full(20, label))
+            fit_sample(config, group_sample(config, x, np.full(20, label)))
 
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -522,7 +532,7 @@ class TestFitModels:
         records = generate_dataset(ScenarioConfig(n_records=20_000, seed=seed))
         train, test = split_train_test(records, config.split_ratio, config.split_seed)
         x, y = train.packet_delay_ms, train.label
-        for kind, model in fit_models(config, x, y).models.items():
+        for kind, model in fit_sample(config, group_sample(config, x, y)).items():
             trace = irls(build_design_matrix(model.basis_spec, x).matrix, y.astype(float))
             assert (model.iterations, model.converged, model.separation_flag) == (
                 trace.iterations,
@@ -555,9 +565,12 @@ class TestFitModels:
     def test_grouped_knots_and_domain_are_those_of_the_training_rows(self, x):
         x = np.random.default_rng(0).permutation(x)
         config = ExperimentConfig()
-        fitted = fit_models(config, x, np.arange(len(x)) % 2)
-        assert fitted.knots == quantile_knots(x, config.knot_probs)
-        assert fitted.domain == (x.min(), x.max()) and {type(end) for end in fitted.domain} == {float}
+        sample = group_sample(config, x, np.arange(len(x)) % 2)
+        assert sample.knots == quantile_knots(x, config.knot_probs)
+        assert sample.domain == (x.min(), x.max()) and {type(end) for end in sample.domain} == {float}
+        # each spline model is fitted on the sample's knots and domain
+        specs = [model.basis_spec for model in fit_sample(config, sample).values() if model.basis_spec is not None]
+        assert [(spec.interior_knots, spec.domain) for spec in specs] == [(sample.knots, sample.domain)] * 4
 
     @pytest.mark.parametrize(
         "x, error",
@@ -566,12 +579,12 @@ class TestFitModels:
     )
     def test_grouped_fit_reports_the_sample_before_a_bad_label(self, x, error):
         with pytest.raises(error):
-            fit_models(ExperimentConfig(knot_probs=(0.25, 0.5)), x, np.full(len(x), 2))
+            group_sample(ExperimentConfig(knot_probs=(0.25, 0.5)), x, np.full(len(x), 2))
 
     def test_labels_other_than_zero_and_one_are_rejected(self):
         x = np.arange(1.0, 21.0)
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
-            fit_models(ExperimentConfig(), x, np.array([0, 2] * 10))
+            group_sample(ExperimentConfig(), x, np.array([0, 2] * 10))
 
 
 class TestWorkingSet:
@@ -628,14 +641,12 @@ class TestWorkingSet:
         assert cli.main(["train", "--model", "bspline", "--save", str(tmp_path / "model.json")]) == 0
         assert alive == [[]]
 
-    def test_grouping_then_fitting_is_fit_models(self):
+    def test_grouping_counts_every_delay_and_attack(self):
         records = generate_dataset(ScenarioConfig(n_records=2000, seed=5))
-        config = ExperimentConfig()
         x, y = records.packet_delay_ms, records.label
-        sample = group_sample(config, x, y)
+        sample = group_sample(ExperimentConfig(), x, y)
         assert np.array_equal(sample.delays, np.unique(x)) and sample.trials.sum() == len(x)
         assert sample.successes.sum() == y.sum()
-        assert fit_sample(config, sample) == fit_models(config, x, y)
 
     @staticmethod
     def traced_peak(run) -> int:
@@ -671,7 +682,7 @@ class TestScoreModel:
         records = generate_dataset(ScenarioConfig(n_records=200, seed=11))
         x, y = records.packet_delay_ms, records.label
         config = ExperimentConfig(models=(ModelKind.LINEAR_SPLINE, ModelKind.BSPLINE))
-        models = fit_models(config, x, y).models
+        models = fit_sample(config, group_sample(config, x, y))
         lo, hi = models[ModelKind.BSPLINE].basis_spec.domain
         labels = np.concatenate([y, [0, 1]])
         outside = score_model(models[ModelKind.BSPLINE], np.concatenate([x, [lo - 5.0, hi + 5.0]]), labels, 0.5)
@@ -752,7 +763,8 @@ class TestScoringPieces:
 @pytest.fixture(scope="module")
 def fitted_600():
     records = generate_dataset(ScenarioConfig(n_records=600, seed=1))
-    return fit_models(ExperimentConfig(), records.packet_delay_ms, records.label).models
+    config = ExperimentConfig()
+    return fit_sample(config, group_sample(config, records.packet_delay_ms, records.label))
 
 
 _HUGE = float(np.finfo(float).max)

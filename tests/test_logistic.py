@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from splineids import logistic
 from splineids.errors import EmptyDataError, InsufficientDataError, NumericalError, OutOfDomainError, ShapeError
-from splineids.experiment import ALL_MODELS, ExperimentConfig, fit_models, split_train_test
+from splineids.experiment import ALL_MODELS, ExperimentConfig, fit_sample, group_sample, split_train_test
 from splineids.logistic import (
     LOGLIK_TOL,
     MAX_ITERATIONS,
@@ -310,9 +310,9 @@ class TestFitLogistic:
         config = ExperimentConfig()
         train, _ = split_train_test(generate_dataset(ScenarioConfig(seed=seed)), config.split_ratio, config.split_seed)
         x, y = train.packet_delay_ms, train.label
-        fitted = fit_models(config, x, y)
+        models = fit_sample(config, group_sample(config, x, y))
         for kind in ALL_MODELS:
-            dm = build_design_matrix(fitted.models[kind].basis_spec, x)
+            dm = build_design_matrix(models[kind].basis_spec, x)
             trace = irls(dm.matrix, y.astype(float))
             eta = dm.matrix @ trace.beta
             exact = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
@@ -449,9 +449,9 @@ class TestIrlsOracle:
             generate_dataset(ScenarioConfig(n_records=600, seed=seed)), config.split_ratio, config.split_seed
         )
         x, y = train.packet_delay_ms, train.label
-        fitted = fit_models(config, x, y)
+        models = fit_sample(config, group_sample(config, x, y))
         for kind in ALL_MODELS:
-            matrix = build_design_matrix(fitted.models[kind].basis_spec, x).matrix
+            matrix = build_design_matrix(models[kind].basis_spec, x).matrix
             assert_irls_matches_the_oracle(matrix, y.astype(float))
 
 
