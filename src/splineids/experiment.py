@@ -2,19 +2,10 @@
 model persistence.
 
 Each model's display name and regression basis live in one table,
-``_MODELS``. Every prediction, on test records, on scored files and on the
-curve grid, goes through one path, ``_probabilities``. It scores a spline
-model from its local polynomial pieces (``LogisticModel.pieces``), with no
-design matrix, when every |x| lies within the pieces' reach and their
-predictor is finite; otherwise, and for the plain model, it scores through
-``build_design_matrix`` and ``predict_prob``, which raise or clip as they do
-for any input. Both paths end in the same ``clipped_sigmoid``.
+``_MODELS``. Every prediction goes through ``logistic.score_probabilities``.
 
 Knots are always taken from training-set delays only (no test leakage), and
-the clamped B-spline domain is the training delay range; test delays outside
-that domain are clamped to the edge and counted as warnings so every test
-record stays scored. Truncated-power models are not clamped: their end
-pieces extrapolate past the domain as their bases do.
+the clamped B-spline domain is the training delay range.
 
 Each stage of a run keeps alive only the arrays that the next stage reads.
 The loaded table goes straight into ``split_train_test``; of the test
@@ -44,10 +35,9 @@ from .logistic import (
     binary_labels,
     build_design_matrix,
     classify,
-    clipped_sigmoid,
     confusion_matrix,
     fit_logistic,
-    predict_prob,
+    score_probabilities,
 )
 from .simulate import MAX_COUNT, ScenarioConfig, TrafficTable, checked_float, checked_int, generate_dataset
 from .simulate import json_default, read_csv, read_json
@@ -292,39 +282,11 @@ def fit_sample(config: ExperimentConfig, sample: TrainingSample) -> dict[ModelKi
     return models
 
 
-def _probabilities(model: LogisticModel, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """``model``'s attack probabilities at delays ``x``, and how many B-spline inputs it clamped to its domain.
-
-    From the pieces when they serve every x (see the module docstring), else from the design.
-    """
-    spec = model.basis_spec
-    clamped = 0
-    if spec is not None and spec.kind is BasisKind.BSPLINE:
-        lo, hi = spec.domain
-        clamped = int(np.sum((x < lo) | (x > hi)))
-        x = np.clip(x, lo, hi)
-    if spec is not None:
-        x = np.asarray(x, dtype=float)
-        knots, left, coefficients, reach = model.pieces
-        # NaN fails both comparisons
-        if x.ndim == 1 and x.size and -reach <= x.min() and x.max() <= reach:
-            piece = np.searchsorted(knots, x, side="right")
-            u = x - left[piece]
-            eta = coefficients[-1][piece]
-            with np.errstate(all="ignore"):  # a non-finite eta goes to the design path
-                for c in coefficients[-2::-1]:
-                    eta *= u
-                    eta += c[piece]
-            if np.isfinite(eta).all():
-                return clipped_sigmoid(eta), clamped
-    return predict_prob(model, build_design_matrix(spec, x)), clamped
-
-
 def score_model(
     model: LogisticModel, x: np.ndarray, y: np.ndarray, threshold: float
 ) -> tuple[ConfusionMatrix, int]:
     """Confusion counts of ``model`` on delays ``x`` and labels ``y``, and the clamped count."""
-    probs, clamped = _probabilities(model, x)
+    probs, clamped = score_probabilities(model, x)
     return confusion_matrix(classify(probs, threshold), y), clamped
 
 
@@ -468,7 +430,7 @@ def emit_curves(config: ExperimentConfig, grid_points: int = CURVE_GRID_POINTS) 
     last, _last_fit = _last_fit, None
     report, models = last[1] if last is not None and last[0] == config else _run(config)
     delays = np.linspace(*report.bspline_domain, grid_points)
-    probabilities = {kind: _probabilities(model, delays)[0] for kind, model in models.items()}
+    probabilities = {kind: score_probabilities(model, delays)[0] for kind, model in models.items()}
     return CurveBundle(delays, probabilities, report.config_digest)
 
 

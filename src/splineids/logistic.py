@@ -3,8 +3,7 @@
 A design matrix is allocated once and its basis columns are filled by
 ``splines.basis_matrix``, block by block, so building one costs little
 more memory than the matrix itself. ``build_design_matrix`` writes the
-intercept column itself and checks the entries for non-finite values, so
-the ``DesignMatrix`` it returns skips the constructor's column checks.
+intercept column itself and checks the entries for non-finite values.
 
 The fitter is iteratively reweighted least squares (Newton on the logit
 link) with step halving, so the log-likelihood never decreases across
@@ -31,11 +30,14 @@ p >= 1 - 1e-12) the iteration stops at the current coefficients with
 the band; it is no proof of separation: plain logistic regression on
 overlapping classes can get it too.
 
-A fitted spline model is scored from its local polynomial pieces
-(``LogisticModel.pieces``), not from a design matrix, whenever its inputs
-lie within the pieces' reach, where the design path's predictor is provably
-finite; ``experiment._probabilities`` falls back on ``predict_prob`` and the
-design otherwise. Both paths apply ``clipped_sigmoid`` to the predictor.
+Every score of a fitted model, on test records, on scored files and on the
+curve grid, goes through ``score_probabilities``. It scores a spline model
+from its local polynomial pieces (``LogisticModel.pieces``), with no design
+matrix, when every |x| lies within the pieces' reach, where the design
+path's predictor is provably finite, and their predictor comes out finite;
+otherwise, and for the plain model, it scores through
+``build_design_matrix`` and ``predict_prob``, which raise or clip as they do
+for any input. Both paths end in the same ``clipped_sigmoid``.
 """
 
 import math
@@ -85,15 +87,6 @@ class DesignMatrix:
         if not (m[:, 0] == 1.0).all():
             raise ShapeError("column 0 must be the intercept column of ones")
 
-    @classmethod
-    def _of_built(cls, matrix: np.ndarray, spec: SplineBasisSpec | None) -> "DesignMatrix":
-        """The design of a float matrix that ``build_design_matrix`` filled, without the checks."""
-        matrix.setflags(write=False)
-        dm = object.__new__(cls)
-        object.__setattr__(dm, "matrix", matrix)
-        object.__setattr__(dm, "basis_spec", spec)
-        return dm
-
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
@@ -126,12 +119,12 @@ class LogisticModel:
         ``np.searchsorted(knots, x, side="right")``. A truncated-power eta
         is that polynomial on the first and last pieces past the domain too,
         and its terms are expanded about each left break exactly; a B-spline
-        eta is sampled on each piece (``_bspline_pieces``), as its input is
-        clamped to the domain. ``reach`` is a bound on |x| within which every
-        design entry and |eta| stay below ``_ETA_LIMIT``, from max|beta|, the
-        dimension and the domain, so the design path's eta is finite there;
-        it is -inf, so that the pieces serve no input, when a coefficient is
-        not finite. The instance keeps the arrays outside its dataclass
+        eta is sampled on each piece (``_bspline_pieces``), as
+        ``score_probabilities`` clamps its input to the domain. ``reach`` is a
+        bound on |x| within which every design entry and |eta| stay below
+        ``_ETA_LIMIT``, from max|beta|, the dimension and the domain, so the
+        design path's eta is finite there; it is -inf, so that the pieces
+        serve no input, when a coefficient is not finite. The instance keeps the arrays outside its dataclass
         fields, so model files, ``==`` and ``hash`` are unchanged.
         """
         spec = self.basis_spec
@@ -223,7 +216,7 @@ def build_design_matrix(spec: SplineBasisSpec | None, x: Sequence[float]) -> Des
         i = int(np.argmin(finite.all(axis=1)))
         problem = "basis value overflows" if np.isfinite(xs[i]) else "predictor is not finite"
         raise NumericalError(f"row {i}: {problem} for x={xs[i]}")
-    return DesignMatrix._of_built(m, spec)
+    return DesignMatrix(m, spec)
 
 
 def _sigmoid(eta: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -372,6 +365,35 @@ def clipped_sigmoid(eta: np.ndarray) -> np.ndarray:
     """sigma(eta) clipped to [1e-15, 1 - 1e-15]; a predictor of +-inf gives a clipped end."""
     p = _sigmoid(eta)
     return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP, out=p)
+
+
+def score_probabilities(model: LogisticModel, x: Sequence[float]) -> tuple[np.ndarray, int]:
+    """``model``'s attack probabilities at delays ``x``, and how many inputs it clamped to its domain.
+
+    Only a B-spline model clamps ``x`` to its domain; truncated-power end pieces extrapolate past it.
+    The pieces score when they serve every x (see the module docstring), else the design does.
+    """
+    x = np.asarray(x, dtype=float)
+    spec = model.basis_spec
+    clamped = 0
+    if spec is not None and spec.kind is BasisKind.BSPLINE:
+        lo, hi = spec.domain
+        clamped = int(np.sum((x < lo) | (x > hi)))
+        x = np.clip(x, lo, hi)
+    if spec is not None:
+        knots, left, coefficients, reach = model.pieces
+        # NaN fails both comparisons
+        if x.ndim == 1 and x.size and -reach <= x.min() and x.max() <= reach:
+            piece = np.searchsorted(knots, x, side="right")
+            u = x - left[piece]
+            eta = coefficients[-1][piece]
+            with np.errstate(all="ignore"):  # a non-finite eta goes to the design path
+                for c in coefficients[-2::-1]:
+                    eta *= u
+                    eta += c[piece]
+            if np.isfinite(eta).all():
+                return clipped_sigmoid(eta), clamped
+    return predict_prob(model, build_design_matrix(spec, x)), clamped
 
 
 def classify(probs: Sequence[float], threshold: float = 0.5) -> np.ndarray:

@@ -544,7 +544,7 @@ class TestFitModels:
             )
             # no predicted test label flips
             grouped_labels, labels = (
-                classify(experiment._probabilities(m, test.packet_delay_ms)[0], config.threshold)
+                classify(logistic.score_probabilities(m, test.packet_delay_ms)[0], config.threshold)
                 for m in (model, ungrouped)
             )
             assert np.array_equal(grouped_labels, labels), kind
@@ -749,7 +749,7 @@ class TestScoringPieces:
         )
         # the pieces serve every point, not the design path
         assert np.abs(x).max() <= model.pieces[3]
-        p, clamped = experiment._probabilities(model, x)
+        p, clamped = logistic.score_probabilities(model, x)
         assert clamped == (int(np.sum((x < lo) | (x > hi))) if spec.kind is BasisKind.BSPLINE else 0)
         # 1e-10, and a few ulps of the largest |term| sum: where the terms reach 1e6, a zero eta that the
         # design gets exactly (a B-spline coefficient of 1e6 at a break where its function ends) comes
@@ -779,12 +779,12 @@ class TestScoringRoute:
         try:
             expected = _design_probabilities(model, x)
         except Exception as err:
-            for score in (lambda: experiment._probabilities(model, x), lambda: score_model(model, x, labels, 0.5)):
+            for score in (lambda: logistic.score_probabilities(model, x), lambda: score_model(model, x, labels, 0.5)):
                 with pytest.raises(type(err)) as raised:
                     score()
                 assert str(raised.value) == str(err)
             return
-        p, _ = experiment._probabilities(model, x)
+        p, _ = logistic.score_probabilities(model, x)
         spec = model.basis_spec
         xc = np.clip(x, *spec.domain) if spec is not None and spec.kind is BasisKind.BSPLINE else x
         if spec is not None and np.abs(xc).max() <= model.pieces[3]:
@@ -816,6 +816,16 @@ class TestScoringRoute:
         with pytest.raises(NumericalError, match="linear predictor is not a number"):
             _design_probabilities(model, np.array([1.0, 2.0, 60.0]))
         self.assert_scores_as_the_design(model, np.array([1.0, 2.0, 60.0]))
+
+    def test_a_list_scores_as_its_array(self, fitted_600):
+        # points inside the training domain, about [1.16, 94.3], and one past either end
+        x = [-3.0, 2.0, 17.5, 60.0, 400.0]
+        labels = [0, 1, 0, 1, 0]
+        for kind, model in fitted_600.items():
+            p, clamped = logistic.score_probabilities(model, x)
+            assert np.array_equal(p, logistic.score_probabilities(model, np.array(x))[0]), kind
+            assert score_model(model, x, labels, 0.5) == score_model(model, np.array(x), labels, 0.5), kind
+            assert clamped == (2 if kind is ModelKind.BSPLINE else 0), kind
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_a_piece_too_narrow_for_its_coefficients_leaves_the_pieces_unused(self, degree):
