@@ -40,7 +40,7 @@ def main():
         report = run_experiment(config)
         for row in report.rows:
             accs[row.model].append(row.accuracy)
-            flagged += row.separation_flag
+            flagged += row.fit.separation_flag
 
     print(f"{'model':<12}{'mean':>9}{'min':>9}{'max':>9}{'<95%':>7}")
     for kind, values in accs.items():

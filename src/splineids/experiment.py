@@ -141,13 +141,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ModelRow:
+    """One model of a run: its kind, its fit, and its scores on the test set."""
+
     model: ModelKind
+    fit: LogisticModel
     cm: ConfusionMatrix
-    accuracy: float
-    converged: bool
-    iterations: int
-    separation_flag: bool
     clamped_test_points: int
+
+    @property
+    def accuracy(self) -> float:
+        return accuracy(self.cm)
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,7 @@ def score_model(
     return confusion_matrix(classify(probs, threshold), y), clamped
 
 
-def _run(config: ExperimentConfig) -> tuple[ExperimentReport, dict[ModelKind, LogisticModel]]:
+def _run(config: ExperimentConfig) -> ExperimentReport:
     # each stage keeps only what the next reads (see the module docstring)
     train, test = split_train_test(
         _filter_records(load_records(config), config.congestion_filter), config.split_ratio, config.split_seed
@@ -300,24 +303,12 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, dict[ModelKind, Lo
     del test
     sample = group_sample(config, train.packet_delay_ms, train.label)
     del train
-    models = fit_sample(config, sample)
-
     rows = []
-    for kind, model in models.items():
+    for kind, model in fit_sample(config, sample).items():
         cm, clamped = score_model(model, test_x, test_y, config.threshold)
-        rows.append(
-            ModelRow(
-                model=kind,
-                cm=cm,
-                accuracy=accuracy(cm),
-                converged=model.converged,
-                iterations=model.iterations,
-                separation_flag=model.separation_flag,
-                clamped_test_points=clamped,
-            )
-        )
+        rows.append(ModelRow(model=kind, fit=model, cm=cm, clamped_test_points=clamped))
 
-    report = ExperimentReport(
+    return ExperimentReport(
         rows=tuple(rows),
         n_train=n_train,
         n_test=n_test,
@@ -327,20 +318,19 @@ def _run(config: ExperimentConfig) -> tuple[ExperimentReport, dict[ModelKind, Lo
         config_digest=config_digest(config),
         bspline_domain=sample.domain,
     )
-    return report, models
 
 
-# the report and fit of the last run_experiment call on a scenario config, until emit_curves takes
-# them; a scenario fixes its data through the seeded stream, while a CSV may change between two calls
-_last_fit: tuple[ExperimentConfig, tuple[ExperimentReport, dict[ModelKind, LogisticModel]]] | None = None
+# the report, with each row's fit, of the last run_experiment call on a scenario config, until emit_curves
+# takes it; a scenario fixes its data through the seeded stream, while a CSV may change between two calls
+_last_fit: tuple[ExperimentConfig, ExperimentReport] | None = None
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the comparison: load/generate, split, fit each model, score the test set."""
     global _last_fit
-    run = _run(config)
-    _last_fit = (config, run) if config.data_csv is None else None
-    return run[0]
+    report = _run(config)
+    _last_fit = (config, report) if config.data_csv is None else None
+    return report
 
 
 def render_report(report: ExperimentReport, fmt: str = REPORT_FORMATS[0]) -> str:
@@ -379,9 +369,9 @@ def _render_text(report: ExperimentReport) -> str:
     lines.append("fit diagnostics:")
     for row in report.rows:
         lines.append(
-            f"  {row.model.display_name}: converged={'yes' if row.converged else 'no'}"
-            f" iterations={row.iterations}"
-            f" separation={'yes' if row.separation_flag else 'no'}"
+            f"  {row.model.display_name}: converged={'yes' if row.fit.converged else 'no'}"
+            f" iterations={row.fit.iterations}"
+            f" separation={'yes' if row.fit.separation_flag else 'no'}"
             f" clamped_test_points={row.clamped_test_points}"
         )
     lines.append("")
@@ -404,8 +394,8 @@ def _render_csv(report: ExperimentReport) -> str:
         cm = row.cm
         lines.append(
             f"{row.model.value},{cm.tp},{cm.fp},{cm.tn},{cm.fn},"
-            f"{100.0 * row.accuracy:.2f},{str(row.converged).lower()},{row.iterations},"
-            f"{str(row.separation_flag).lower()},{row.clamped_test_points}"
+            f"{100.0 * row.accuracy:.2f},{str(row.fit.converged).lower()},{row.fit.iterations},"
+            f"{str(row.fit.separation_flag).lower()},{row.clamped_test_points}"
         )
     return "\n".join(lines) + "\n"
 
@@ -428,9 +418,9 @@ def emit_curves(config: ExperimentConfig, grid_points: int = CURVE_GRID_POINTS) 
     global _last_fit
     grid_points = checked_int("grid_points", grid_points, 2, MAX_COUNT)
     last, _last_fit = _last_fit, None
-    report, models = last[1] if last is not None and last[0] == config else _run(config)
+    report = last[1] if last is not None and last[0] == config else _run(config)
     delays = np.linspace(*report.bspline_domain, grid_points)
-    probabilities = {kind: score_probabilities(model, delays)[0] for kind, model in models.items()}
+    probabilities = {row.model: score_probabilities(row.fit, delays)[0] for row in report.rows}
     return CurveBundle(delays, probabilities, report.config_digest)
 
 

@@ -15,8 +15,8 @@ delay and transfer interval float64, packet drops int64, the congestion flag
 bool, the attack type an int8 code into ``AttackType``), with the label
 derived from the attack code. The value rule ``_value_fault`` runs where
 values enter the program: building a table (from columns, from a generated
-scenario or from a CSV file) checks all its columns at once, while rows taken
-from a checked table by indexing are not checked again.
+scenario, from a CSV file or from the rows of another table) checks all its
+columns at once.
 Iterating a table yields :class:`TrafficRecord` rows.
 
 Randomness: one PCG64 stream per column, seeded by the children of
@@ -171,8 +171,8 @@ class TrafficTable:
     ``NONE``) and the label is derived from it. Building a table runs the
     value rule, ``_value_fault``, on every row at once, and the first row
     that breaks the rule raises :class:`RowError` with that rule's message.
-    Rows taken from a checked table (``table[rows]``) are not checked again;
-    they keep the read-only columns and the 1-D shape check.
+    Rows taken from a table (``table[rows]``) are built the same way. The
+    columns are read-only, 1-D and of one length.
     """
 
     packet_delay_ms: np.ndarray
@@ -182,16 +182,6 @@ class TrafficTable:
     attack_code: np.ndarray
 
     def __post_init__(self):
-        self._freeze()
-        delay, drops, interval, _, code = self._columns()
-        good = (delay > 0) & (delay < math.inf) & (interval > 0) & (interval < math.inf)
-        good &= (drops >= 0) & (code >= 0) & (code < len(AttackType))
-        if not good.all():
-            row = int(good.argmin())
-            raise RowError(row, _value_fault(*(column[row].item() for column in (delay, drops, interval, code))))
-
-    def _freeze(self) -> None:
-        """Convert the columns to read-only arrays of their dtypes, which must be 1-D and of one length."""
         for name, dtype in _COLUMNS:
             column = np.asarray(getattr(self, name), dtype=dtype).view()
             column.flags.writeable = False
@@ -199,6 +189,12 @@ class TrafficTable:
         shapes = {column.shape for column in self._columns()}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        delay, drops, interval, _, code = self._columns()
+        good = (delay > 0) & (delay < math.inf) & (interval > 0) & (interval < math.inf)
+        good &= (drops >= 0) & (code >= 0) & (code < len(AttackType))
+        if not good.all():
+            row = int(good.argmin())
+            raise RowError(row, _value_fault(*(column[row].item() for column in (delay, drops, interval, code))))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name, _ in _COLUMNS)
@@ -218,12 +214,8 @@ class TrafficTable:
         return len(self.packet_delay_ms)
 
     def __getitem__(self, rows) -> "TrafficTable":
-        """The table of ``rows``: a slice, an array of row indices or a boolean mask, not checked again."""
-        table = object.__new__(TrafficTable)
-        for (name, _), column in zip(_COLUMNS, self._columns()):
-            object.__setattr__(table, name, column[rows])
-        table._freeze()
-        return table
+        """The table of ``rows``: a slice, an array of row indices or a boolean mask."""
+        return TrafficTable(*(column[rows] for column in self._columns()))
 
     def __iter__(self) -> Iterator[TrafficRecord]:
         types = tuple(AttackType)

@@ -495,6 +495,21 @@ class TestCurvesReuseTheRunFit:
         assert curves == emit_curves(config, grid_points=20).to_csv() != old
 
 
+class TestReportRowsHoldTheirFits:
+    def test_each_row_holds_the_fit_it_was_scored_and_drawn_with(self):
+        report = run_experiment(SMALL)
+        curves = emit_curves(SMALL, grid_points=20)
+        train, test = split_train_test(generate_dataset(SMALL.scenario), SMALL.split_ratio, SMALL.split_seed)
+        models = fit_sample(SMALL, group_sample(SMALL, train.packet_delay_ms, train.label))
+        assert {row.model: row.fit for row in report.rows} == models
+        grid = np.linspace(*report.bspline_domain, 20)
+        assert np.array_equal(curves.delays, grid)
+        for row in report.rows:
+            scores = score_model(row.fit, test.packet_delay_ms, test.label, SMALL.threshold)
+            assert (row.cm, row.clamped_test_points) == scores
+            assert np.array_equal(curves.probabilities[row.model], logistic.score_probabilities(row.fit, grid)[0])
+
+
 class TestFitModels:
     def test_models_given_out_of_order_come_out_in_canonical_order(self):
         given = (ModelKind.BSPLINE, ModelKind.LOGISTIC, ModelKind.QUADRATIC_SPLINE)
